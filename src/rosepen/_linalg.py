@@ -140,8 +140,8 @@ def det(a):
     """Exact determinant by fraction-free (Bareiss) elimination.
 
     Works over integers and rationals alike; integer-valued input is
-    demoted to machine-free Python ints first, which keeps the hot
-    pencil-sampling paths out of Fraction arithmetic.
+    demoted to machine-free Python ints first, which keeps the sampled
+    polynomial determinants out of Fraction arithmetic.
     """
     n = len(a)
     if n == 0:
@@ -175,25 +175,8 @@ def det(a):
 
 
 def rank(a):
-    """Exact rank by Gaussian elimination over the rationals."""
-    rows, cols = shape(a)
-    w = [[Fraction(x) for x in row] for row in a]
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if w[i][c] != 0), None)
-        if piv is None:
-            continue
-        w[r], w[piv] = w[piv], w[r]
-        inv = 1 / w[r][c]
-        w[r] = [x * inv for x in w[r]]
-        for i in range(rows):
-            if i != r and w[i][c] != 0:
-                f = w[i][c]
-                w[i] = [x - f * y for x, y in zip(w[i], w[r])]
-        r += 1
-        if r == rows:
-            break
-    return r
+    """Exact rank over the rationals: the pivot count of the RREF."""
+    return len(rref(a)[1])
 
 
 def rref(a):
@@ -218,25 +201,6 @@ def rref(a):
         if r == rows:
             break
     return freeze(w), tuple(pivots)
-
-
-def inverse(a):
-    """Exact inverse via Gauss-Jordan; raises ValueError if singular."""
-    n = len(a)
-    w = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(a)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if w[i][c] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        w[c], w[piv] = w[piv], w[c]
-        inv = 1 / w[c][c]
-        w[c] = [x * inv for x in w[c]]
-        for i in range(n):
-            if i != c and w[i][c] != 0:
-                f = w[i][c]
-                w[i] = [x - f * y for x, y in zip(w[i], w[c])]
-    return tuple(tuple(row[n:]) for row in w)
 
 
 def to_float_array(a):

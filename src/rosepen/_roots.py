@@ -10,7 +10,7 @@ package: two values coincide when |a - b| <= tol * max(1, |a|, |b|).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, inf, isfinite
 
 from .polymat import EXACT, Poly
 
@@ -102,13 +102,17 @@ def rational_roots(p):
     for cand in sorted(candidates):
         if p.degree < 1:
             break
-        # cheap float screen; a true root always passes, exact division decides
+        # cheap float screen; a true root always passes, exact division decides.
+        # Where the floats overflow the screen cannot decide and lets it pass.
         x = float(cand)
         acc = float_coeffs[-1]
         for c in reversed(float_coeffs[:-1]):
             acc = acc * x + c
-        scale = max(abs(c) for c in float_coeffs) * max(1.0, abs(x)) ** p.degree
-        if not (abs(acc) <= 1e-6 * scale):
+        try:
+            scale = max(abs(c) for c in float_coeffs) * max(1.0, abs(x)) ** p.degree
+        except OverflowError:
+            scale = inf
+        if isfinite(acc) and abs(acc) > 1e-6 * scale:
             continue
         mult = 0
         while p(cand) == 0:

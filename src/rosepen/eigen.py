@@ -22,6 +22,7 @@ from ._roots import MATCH_TOL
 from .fiedler import Bijection, pencil_algorithm1, pencil_direct
 from .polymat import (
     Poly,
+    _root_multiplicity,
     poly_gcd,
     poly_matrix_det,
     smith_mcmillan,
@@ -73,38 +74,11 @@ class GepResult:
         return sum(m for _, m in self.eigenvalues)
 
 
-def _interpolate(points):
-    """Newton interpolation through exact (x, y) samples."""
-    xs = [Fraction(x) for x, _ in points]
-    coeffs = [Fraction(y) for _, y in points]
-    n = len(points)
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (xs[i] - xs[i - j])
-    poly = Poly.zero()
-    basis = Poly.one()
-    for j in range(n):
-        poly = poly + basis * coeffs[j]
-        basis = basis * Poly((-xs[j], 1))
-    return poly
-
-
 def pencil_determinant(pencil):
-    """Exact determinant of lam*lead + const by sampling and interpolation.
-
-    The determinant has degree at most the pencil size N, so N+1 exact
-    constant determinants pin it down; this is far cheaper than eliminating
-    over Q[lam] and is cross-checked against the Bareiss route in the test
-    suite.
-    """
+    """Exact determinant of lam*lead + const, by `poly_matrix_det`."""
     if pencil.mode != EXACT:
         raise ValueError("exact determinant requires an exact pencil")
-    n = pencil.size
-    points = []
-    for x in range(n + 1):
-        value = _linalg.det(pencil.eval(Fraction(x)))
-        points.append((Fraction(x), Fraction(value)))
-    return _interpolate(points)
+    return poly_matrix_det(pencil.as_poly_matrix())
 
 
 def solve_gep(pencil, backend="exact", tol=MATCH_TOL):
@@ -229,8 +203,6 @@ def _index_for_value(polys, value, tol=MATCH_TOL):
             out.append(0)
             continue
         if isinstance(value, Fraction):
-            from .polymat import _root_multiplicity
-
             out.append(_root_multiplicity(p, value))
             continue
         best_k, best_val = 0, None
@@ -247,6 +219,10 @@ def _is_pole_value(value, pole_poly, pole_roots, tol):
     if isinstance(value, Fraction) and pole_poly is not None:
         return pole_poly(value) == 0
     return any(_roots.close(value, p, tol) for p in pole_roots)
+
+
+class CertificateMismatch(RuntimeError):
+    """Internal consistency failure between a pencil and its system."""
 
 
 def classify_zeros(sys, sigma=None, backend="exact", pencil=None, tol=MATCH_TOL):
@@ -358,9 +334,16 @@ def classify_zeros(sys, sigma=None, backend="exact", pencil=None, tol=MATCH_TOL)
         pole_roots = [complex(v) for v in raw if np.isfinite(v)]
     else:
         pole_roots = []
+    # QZ splits a defective pole of multiplicity k into copies about
+    # eps**(1/k) apart, which can leave a zero on that pole farther than tol
+    # from every copy.  The mean of the copies stays accurate, so zeros are
+    # also matched against the means of poles grouped within sqrt(tol).
+    targets = pole_roots + [
+        c for c, k in _roots.cluster(pole_roots, tol**0.5) if k > 1
+    ]
     zeros = []
     for value, _mult in gep.eigenvalues:
-        is_pole = any(_roots.close(value, p, tol) for p in pole_roots)
+        is_pole = any(_roots.close(value, p, tol) for p in targets)
         zeros.append(
             ZeroEntry(
                 value=value,
@@ -378,10 +361,6 @@ def classify_zeros(sys, sigma=None, backend="exact", pencil=None, tol=MATCH_TOL)
         pencil_size=pencil.size,
         note=note,
     )
-
-
-class CertificateMismatch(RuntimeError):
-    """Internal consistency failure between a pencil and its system."""
 
 
 def solve_rep(spec, sigma=None, backend="exact", tol=MATCH_TOL):

@@ -448,37 +448,11 @@ def pencil_block_formula(sys, sigma):
 def first_companion(sys):
     """The companion pencil with sigma^{-1} = (m-1, ..., 1, 0).
 
-    Built by the factor product and cross-checked against the direct
-    layout: leading block row carries A_{m-1} ... A_0 and C, the identity
+    Its leading block row carries A_{m-1} ... A_0 and C, the identity
     subdiagonal is negated, and B sits in the last block column of the
     state row.
     """
-    n, r, m = sys.n, sys.r, sys.m
-    mode = sys.mode
-    pencil = pencil_direct(sys, Bijection.first_companion_order(m))
-    if m >= 2:
-        zero = _linalg.coerce_scalar(0, mode)
-        size = n * m + r
-        const = [[zero] * size for _ in range(size)]
-        for bj in range(m):
-            coeff = sys.coefficient(m - 1 - bj)
-            for a in range(n):
-                for b in range(n):
-                    const[a][bj * n + b] = coeff[a][b]
-        for bi in range(1, m):
-            for a in range(n):
-                const[bi * n + a][(bi - 1) * n + a] = -_linalg.coerce_scalar(1, mode)
-        for a in range(n):
-            for k in range(r):
-                const[a][m * n + k] = sys.C[a][k]
-        for k in range(r):
-            for b in range(n):
-                const[m * n + k][(m - 1) * n + b] = sys.B[k][b]
-            for j in range(r):
-                const[m * n + k][m * n + j] = sys.A[k][j]
-        if not _linalg.eq(_linalg.freeze(const), pencil.const_term):
-            raise RuntimeError("companion layout cross-check failed")
-    return pencil
+    return pencil_direct(sys, Bijection.first_companion_order(sys.m))
 
 
 def second_companion(sys):

@@ -562,37 +562,43 @@ def poly_matrix_eval(matrix, lam0):
     return tuple(tuple(e(lam0) for e in row) for row in matrix.entries)
 
 
+def _interpolate(points):
+    """Newton interpolation through exact (x, y) samples."""
+    xs = [Fraction(x) for x, _ in points]
+    coeffs = [Fraction(y) for _, y in points]
+    n = len(points)
+    for j in range(1, n):
+        for i in range(n - 1, j - 1, -1):
+            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (xs[i] - xs[i - j])
+    poly = Poly.zero()
+    basis = Poly.one()
+    for j in range(n):
+        poly = poly + basis * coeffs[j]
+        basis = basis * Poly((-xs[j], 1))
+    return poly
+
+
 def poly_matrix_det(matrix):
     """Exact determinant of a square polynomial matrix.
 
-    Fraction-free Bareiss elimination over the polynomial ring: every
-    division performed is exact, so intermediate entries remain polynomials.
-    Float mode is rejected; numeric determinants belong to the eigen module.
+    Evaluation and interpolation: the determinant has degree at most the
+    smaller of the sums of the row and of the column maximum degrees, so
+    exact constant determinants at that many plus one integer points pin it
+    down.  Float mode is rejected; numeric determinants belong to the eigen
+    module.
     """
     if not matrix.is_square:
         raise ValueError("determinant of a non-square matrix")
     if matrix.mode != EXACT:
         raise ValueError("exact mode required for polynomial determinants")
-    n = matrix.rows
-    w = [list(row) for row in matrix.entries]
-    sign = 1
-    prev = Poly.one()
-    for k in range(n - 1):
-        if w[k][k].is_zero:
-            for i in range(k + 1, n):
-                if not w[i][k].is_zero:
-                    w[k], w[i] = w[i], w[k]
-                    sign = -sign
-                    break
-            else:
-                return Poly.zero()
-        pivot = w[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                w[i][j] = (w[i][j] * pivot - w[i][k] * w[k][j]) // prev
-            w[i][k] = Poly.zero()
-        prev = pivot
-    return w[n - 1][n - 1] * sign
+    row_degrees = [max(e.degree for e in row) for row in matrix.entries]
+    col_degrees = [max(e.degree for e in col) for col in zip(*matrix.entries)]
+    if min(row_degrees) < 0 or min(col_degrees) < 0:
+        return Poly.zero()
+    bound = min(sum(row_degrees), sum(col_degrees))
+    return _interpolate(
+        [(x, _linalg.det(poly_matrix_eval(matrix, x))) for x in range(bound + 1)]
+    )
 
 
 def horner_shift(matrix, k):

@@ -139,6 +139,31 @@ def cofactor_det(matrix):
     return total
 
 
+def bareiss_det(matrix):
+    """Independent determinant oracle for PolyMatrix: fraction-free Bareiss
+    elimination over Q[lam], where every division is exact."""
+    n = matrix.rows
+    w = [list(row) for row in matrix.entries]
+    sign = 1
+    prev = Poly.one(matrix.mode)
+    for k in range(n - 1):
+        if w[k][k].is_zero:
+            for i in range(k + 1, n):
+                if not w[i][k].is_zero:
+                    w[k], w[i] = w[i], w[k]
+                    sign = -sign
+                    break
+            else:
+                return Poly.zero(matrix.mode)
+        pivot = w[k][k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                w[i][j] = (w[i][j] * pivot - w[i][k] * w[k][j]) // prev
+            w[i][k] = Poly.zero(matrix.mode)
+        prev = pivot
+    return w[n - 1][n - 1] * sign
+
+
 def rational_det(matrix):
     """Determinant of a RationalMatrix by cofactor expansion."""
     if matrix.rows == 1:

@@ -11,6 +11,7 @@ from _helpers import (
     LAM,
     ONE,
     assert_value_sets_close,
+    bareiss_det,
     desk1_spec,
     desk1_system,
     eigenpole_index_matrix,
@@ -27,7 +28,9 @@ from rosepen.eigen import (
     solve_gep,
     solve_rep,
 )
+from rosepen._roots import rational_roots
 from rosepen.fiedler import Bijection, SystemPencil, first_companion, pencil_direct
+from rosepen.io import decode_system
 from rosepen.polymat import (
     Poly,
     PolyMatrix,
@@ -104,7 +107,7 @@ def test_pencil_determinant_matches_bareiss():
     for _ in range(5):
         sys = rand_system(rng, 2, 1, rng.randint(2, 3))
         pencil = pencil_direct(sys, Bijection.first_companion_order(sys.m))
-        assert pencil_determinant(pencil) == poly_matrix_det(pencil.as_poly_matrix())
+        assert pencil_determinant(pencil) == bareiss_det(pencil.as_poly_matrix())
 
 
 def test_eigencount_equals_det_degree():
@@ -114,6 +117,14 @@ def test_eigencount_equals_det_degree():
         got = solve_gep(first_companion(sys), "exact")
         if not got.singular:
             assert got.count_with_multiplicity == got.det_poly.degree
+
+
+def test_rational_roots_where_the_float_screen_overflows():
+    # |candidate|^degree = (1e12)^30 is beyond binary64
+    roots, rest = rational_roots(Poly([999999999989] + [0] * 29 + [1]))
+    assert roots == [] and rest.degree == 30
+    p = Poly([-999999999989, 1]) * Poly([1] + [0] * 28 + [1])
+    assert rational_roots(p)[0] == [(F(-1), 1), (F(999999999989), 1)]
 
 
 # --- eig_eip_split ----------------------------------------------------------------
@@ -190,6 +201,40 @@ def test_classify_numeric_backend_matches_exact():
             [z.value for z in exact.zeros], [z.value for z in numeric.zeros], 1e-8
         )
         assert exact.minimal == numeric.minimal
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        # det(lam E - A) = -lam^2; the zero at 0 sits on a defective double pole
+        {
+            "P": [[[-1, -2, -2, 0], [-2, -3, 2, -1]], [[3, 3, -3, -1], [2, -1, 1, 0]]],
+            "A": [[3, 1], [-3, -1]],
+            "E": [[-2, -1], [-1, 0]],
+            "B": [[1, 2], [-3, -2]],
+            "C": [[-1, -2], [1, 2]],
+        },
+        # det(lam E - A) = -2 (lam + 1)^2
+        {
+            "P": [[[-2, 1, 3, 0], [0, -1, -3, -1]], [[-1, 0, 2, 3], [3, 0, 1, 0]]],
+            "A": [[2, -2], [1, -2]],
+            "E": [[1, 2], [2, 2]],
+            "B": [[3, 0], [-1, -1]],
+            "C": [[1, 0], [3, 0]],
+        },
+    ],
+    ids=["double-pole-at-0", "double-pole-at-minus-1"],
+)
+def test_classify_numeric_zero_on_defective_pole_is_eigenpole(doc):
+    sys = decode_system(doc, "exact")
+    exact = classify_zeros(sys, backend="exact")
+    numeric = classify_zeros(sys, backend="numeric")
+    for kind in (EIGENPOLE, EIGENVALUE):
+        assert_value_sets_close(
+            [z.value for z in exact.zeros if z.classification == kind],
+            [z.value for z in numeric.zeros if z.classification == kind],
+            1e-8,
+        )
 
 
 def test_classification_partitions_by_pole_polynomial():

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from _helpers import LAM, ONE, cofactor_det
+from _helpers import LAM, ONE, bareiss_det, cofactor_det
 from rosepen.polymat import (
     Poly,
     PolyMatrix,
@@ -142,6 +142,25 @@ def test_det_matches_cofactor_oracle_on_random_matrices():
         size = rng.randint(1, 4)
         m = rand_pm(rng, size, size)
         assert poly_matrix_det(m) == cofactor_det(m)
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        # row-degree bound 4 below column-degree bound 6
+        PolyMatrix([[LAM**3, LAM**3], [ONE, Poly([1, 1])]]),
+        # column-degree bound 4 below row-degree bound 6
+        PolyMatrix([[LAM**3, ONE], [LAM**3, Poly([1, 1])]]),
+        PolyMatrix([[LAM, ONE], [Poly.zero(), Poly.zero()]]),
+        PolyMatrix([[LAM, Poly.zero()], [ONE, Poly.zero()]]),
+        # bound 4, determinant -1 after cancellation
+        PolyMatrix([[Poly([1, 0, 1]), LAM**2], [LAM**2, Poly([-1, 0, 1])]]),
+        PolyMatrix([[Poly([F(1, 2), F(1, 3)]), Poly([F(2, 5)])], [LAM, Poly([F(1, 7), -1])]]),
+    ],
+    ids=["row-bound", "col-bound", "zero-row", "zero-col", "cancellation", "rational"],
+)
+def test_det_structured_cases_match_oracles(m):
+    assert poly_matrix_det(m) == cofactor_det(m) == bareiss_det(m)
 
 
 def test_det_matches_pointwise_evaluation():
