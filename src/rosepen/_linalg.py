@@ -23,7 +23,12 @@ def scalar_mode(x):
 
 
 def coerce_scalar(x, mode):
+    """x as an element of the field of `mode`: a `Fraction` in exact mode
+    (a `Fraction` argument is returned as it is, since it is immutable),
+    a `float` in float mode.  A float in exact mode is a ValueError."""
     if mode == EXACT:
+        if type(x) is Fraction:
+            return x
         if isinstance(x, float):
             raise ValueError("float scalar in exact mode")
         return Fraction(x)
@@ -139,9 +144,10 @@ def _exact_div(a, b):
 def det(a):
     """Exact determinant by fraction-free (Bareiss) elimination.
 
-    Works over integers and rationals alike; integer-valued input is
-    demoted to machine-free Python ints first, which keeps the sampled
-    polynomial determinants out of Fraction arithmetic.
+    Works over integers and rationals alike.  Integer-valued input is
+    demoted to Python ints first and eliminated without any Fraction;
+    `polymat.poly_matrix_det` hands over integer samples, so it always
+    takes this path.
     """
     n = len(a)
     if n == 0:

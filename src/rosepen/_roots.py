@@ -98,30 +98,39 @@ def rational_roots(p):
             candidates.add(-c)
     if len(candidates) > _MAX_CANDIDATES:
         return roots, p
-    float_coeffs = [float(c) for c in p.coeffs]
+    float_coeffs = _float_coeffs(p)
     for cand in sorted(candidates):
         if p.degree < 1:
             break
         # cheap float screen; a true root always passes, exact division decides.
         # Where the floats overflow the screen cannot decide and lets it pass.
-        x = float(cand)
-        acc = float_coeffs[-1]
-        for c in reversed(float_coeffs[:-1]):
-            acc = acc * x + c
-        try:
-            scale = max(abs(c) for c in float_coeffs) * max(1.0, abs(x)) ** p.degree
-        except OverflowError:
-            scale = inf
-        if isfinite(acc) and abs(acc) > 1e-6 * scale:
-            continue
+        if float_coeffs is not None:
+            x = float(cand)
+            acc = float_coeffs[-1]
+            for c in reversed(float_coeffs[:-1]):
+                acc = acc * x + c
+            try:
+                scale = max(abs(c) for c in float_coeffs) * max(1.0, abs(x)) ** p.degree
+            except OverflowError:
+                scale = inf
+            if isfinite(acc) and abs(acc) > 1e-6 * scale:
+                continue
         mult = 0
         while p(cand) == 0:
             p = p // Poly((-cand, 1), EXACT)
             mult += 1
         if mult:
             roots.append((cand, mult))
-            float_coeffs = [float(c) for c in p.coeffs]
+            float_coeffs = _float_coeffs(p)
     return roots, p
+
+
+def _float_coeffs(p):
+    """The coefficients as floats, or None when one is beyond the float range."""
+    try:
+        return [float(c) for c in p.coeffs]
+    except OverflowError:
+        return None
 
 
 def numeric_roots(p):

@@ -16,6 +16,7 @@ import hashlib
 import json
 import os
 import sys as _sys
+from functools import lru_cache
 from itertools import permutations
 
 from . import io as rio
@@ -125,10 +126,24 @@ def cmd_zeros(args):
         return _fail(EXIT_SIGMA, f"invalid sigma: {exc}")
     except SingularStateError as exc:
         return _fail(EXIT_SINGULAR_E, str(exc))
+    except OverflowError as exc:
+        # exact input whose numbers (or pencil entries) exceed binary64
+        return _fail(EXIT_PARSE, f"numbers beyond the float range: {exc}")
     if report.singular:
         return _fail(EXIT_SINGULAR_PENCIL, "singular pencil: spectrum undefined")
     _emit(rio.dumps(rio.encode_zero_report(report)), args.out)
     return EXIT_OK
+
+
+@lru_cache(maxsize=1)
+def _system_det(sys):
+    """det S(λ), shared by every σ of one `verify` request.
+
+    Memoised per process on the (hashable) decoded system rather than sent
+    to the `--jobs` workers, since a Poly cannot be pickled; maxsize=1
+    holds only the current request's system.
+    """
+    return poly_matrix_det(assemble_system_matrix(sys))
 
 
 def _verify_payload(doc, order, pencil_doc):
@@ -155,7 +170,7 @@ def _verify_payload(doc, order, pencil_doc):
     except CertificateError as exc:
         entry["error"] = str(exc)
         return entry
-    det_s = poly_matrix_det(assemble_system_matrix(sys))
+    det_s = _system_det(sys)
     if not det_s.is_zero:
         q, rem = divmod(pencil_determinant(pencil), det_s)
         if rem.is_zero and q.degree == 0:
@@ -174,10 +189,14 @@ def cmd_verify(args):
         return _fail(EXIT_PARSE, f"cannot load input: {exc}")
     if sys.m < 2:
         return _fail(EXIT_PARSE, "certificates need a system of degree m >= 2")
-    max_m = int(os.environ.get("ROSEPEN_MAX_M", DEFAULT_MAX_M))
     if args.all:
         if args.pencil:
             return _fail(EXIT_PARSE, "--pencil cannot be combined with --all")
+        max_m = os.environ.get("ROSEPEN_MAX_M", DEFAULT_MAX_M)
+        try:
+            max_m = int(max_m)
+        except ValueError:
+            return _fail(EXIT_PARSE, f"ROSEPEN_MAX_M must be an integer, got {max_m!r}")
         if sys.m > max_m:
             return _fail(
                 EXIT_PARSE,

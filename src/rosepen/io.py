@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import isfinite
 
 from ._linalg import EXACT
 from .eigen import ZeroReport
@@ -55,15 +56,23 @@ def encode_scalar(x):
 
 
 def decode_scalar(obj, mode=EXACT):
+    """One scalar of the interchange format as an element of `mode`'s field.
+
+    Raises ValueError on anything else, including a non-finite number (JSON
+    numbers beyond the float range parse as ±inf) and, in float mode, a
+    value beyond the float range.
+    """
     if isinstance(obj, str):
         num, _, den = obj.partition("/")
         try:
             frac = Fraction(int(num), int(den) if den else 1)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"bad rational literal {obj!r}") from exc
-        return frac if mode == EXACT else float(frac)
+        return frac if mode == EXACT else _to_float(frac)
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise ValueError(f"bad scalar {obj!r}")
+    if isinstance(obj, float) and not isfinite(obj):
+        raise ValueError(f"non-finite number {obj!r}")
     if mode == EXACT:
         if isinstance(obj, float):
             if obj != int(obj):
@@ -72,7 +81,14 @@ def decode_scalar(obj, mode=EXACT):
                 )
             return Fraction(int(obj))
         return Fraction(obj)
-    return float(obj)
+    return _to_float(obj)
+
+
+def _to_float(x):
+    try:
+        return float(x)
+    except OverflowError as exc:
+        raise ValueError("a scalar is beyond the float range") from exc
 
 
 def encode_value(v):

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
+from math import factorial, lcm
 
 from . import _linalg
 from ._linalg import EXACT, FLOAT, coerce_scalar
@@ -58,6 +60,22 @@ class Poly:
             coeffs = coeffs[:-1]
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "mode", mode)
+
+    @classmethod
+    def _trusted(cls, coeffs, mode):
+        """Result of arithmetic on operands of one mode.
+
+        The coefficients are already elements of the field of `mode`, so
+        only trailing zeros are trimmed; the public constructor's coercion
+        would re-normalise every Fraction for nothing.
+        """
+        n = len(coeffs)
+        while n and coeffs[n - 1] == 0:
+            n -= 1
+        p = object.__new__(cls)
+        object.__setattr__(p, "coeffs", tuple(coeffs[:n]))
+        object.__setattr__(p, "mode", mode)
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -104,28 +122,32 @@ class Poly:
 
     def __add__(self, other):
         self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(
-            (self.coefficient(i) + other.coefficient(i) for i in range(n)), self.mode
+        # pad with the mode's zero, never 0 * c: in float mode that is -0.0
+        # for a negative c
+        zero = coerce_scalar(0, self.mode)
+        return Poly._trusted(
+            [a + b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=zero)],
+            self.mode,
         )
 
     def __sub__(self, other):
         self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(
-            (self.coefficient(i) - other.coefficient(i) for i in range(n)), self.mode
+        zero = coerce_scalar(0, self.mode)
+        return Poly._trusted(
+            [a - b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=zero)],
+            self.mode,
         )
 
     def __neg__(self):
-        return Poly((-c for c in self.coeffs), self.mode)
+        return Poly._trusted([-c for c in self.coeffs], self.mode)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, float)):
             c = coerce_scalar(other, self.mode)
-            return Poly((c * x for x in self.coeffs), self.mode)
+            return Poly._trusted([c * x for x in self.coeffs], self.mode)
         self._check(other)
         if self.is_zero or other.is_zero:
-            return Poly.zero(self.mode)
+            return Poly._trusted((), self.mode)
         zero = coerce_scalar(0, self.mode)
         out = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
@@ -133,7 +155,7 @@ class Poly:
                 continue
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
-        return Poly(out, self.mode)
+        return Poly._trusted(out, self.mode)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -161,7 +183,7 @@ class Poly:
             q[i - dn] = f
             for j in range(dn + 1):
                 rem[i - dn + j] -= f * other.coeffs[j]
-        return Poly(q, self.mode), Poly(rem[:dn], self.mode)
+        return Poly._trusted(q, self.mode), Poly._trusted(rem[:dn], self.mode)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -562,20 +584,58 @@ def poly_matrix_eval(matrix, lam0):
     return tuple(tuple(e(lam0) for e in row) for row in matrix.entries)
 
 
-def _interpolate(points):
-    """Newton interpolation through exact (x, y) samples."""
-    xs = [Fraction(x) for x, _ in points]
-    coeffs = [Fraction(y) for _, y in points]
-    n = len(points)
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (xs[i] - xs[i - j])
-    poly = Poly.zero()
-    basis = Poly.one()
-    for j in range(n):
-        poly = poly + basis * coeffs[j]
-        basis = basis * Poly((-xs[j], 1))
-    return poly
+def _interpolate(samples, scale):
+    """The polynomial p with p(k) = samples[k] / scale for k = 0, 1, ...
+
+    Newton's forward-difference form on the integer nodes: the k-th divided
+    difference is the k-th forward difference over k!.  Scaled by (n-1)!,
+    every Newton coefficient is an integer, so the whole expansion runs on
+    Python ints and only the final coefficients become Fractions.
+    """
+    n = len(samples)
+    diffs = []
+    ys = list(samples)
+    for _ in range(n):
+        diffs.append(ys[0])
+        ys = [b - a for a, b in zip(ys, ys[1:])]
+    top = factorial(n - 1)
+    # Horner over the Newton basis: acc = acc * (lam - k) + c_k, c_k scaled by top
+    acc = []
+    for k in range(n - 1, -1, -1):
+        shifted = [0] + acc
+        for i, c in enumerate(acc):
+            shifted[i] -= k * c
+        shifted[0] += diffs[k] * (top // factorial(k))
+        acc = shifted
+    denom = top * scale
+    return Poly._trusted([Fraction(c, denom) for c in acc], EXACT)
+
+
+def _int_rows(matrix):
+    """Each row's coefficients as integers, with the product of row scales.
+
+    Row i is multiplied by d_i, the lcm of its coefficient denominators, so
+    det(M) = det(scaled M) / prod(d_i).
+    """
+    rows = []
+    scale = 1
+    for row in matrix.entries:
+        d = 1
+        for e in row:
+            for c in e.coeffs:
+                d = lcm(d, c.denominator)
+        scale *= d
+        rows.append(
+            [[c.numerator * (d // c.denominator) for c in e.coeffs] for e in row]
+        )
+    return rows, scale
+
+
+def _int_horner(coeffs, x):
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
 
 
 def poly_matrix_det(matrix):
@@ -584,8 +644,11 @@ def poly_matrix_det(matrix):
     Evaluation and interpolation: the determinant has degree at most the
     smaller of the sums of the row and of the column maximum degrees, so
     exact constant determinants at that many plus one integer points pin it
-    down.  Float mode is rejected; numeric determinants belong to the eigen
-    module.
+    down.  Each row is first scaled by the lcm of its coefficient
+    denominators, so the samples are integer determinants (`_linalg.det`
+    on Python ints) and the interpolant is divided by the product of the
+    row scales.  Float mode is rejected; numeric determinants belong to the
+    eigen module.
     """
     if not matrix.is_square:
         raise ValueError("determinant of a non-square matrix")
@@ -596,9 +659,12 @@ def poly_matrix_det(matrix):
     if min(row_degrees) < 0 or min(col_degrees) < 0:
         return Poly.zero()
     bound = min(sum(row_degrees), sum(col_degrees))
-    return _interpolate(
-        [(x, _linalg.det(poly_matrix_eval(matrix, x))) for x in range(bound + 1)]
-    )
+    rows, scale = _int_rows(matrix)
+    samples = [
+        _linalg.det([[_int_horner(c, x) for c in row] for row in rows])
+        for x in range(bound + 1)
+    ]
+    return _interpolate(samples, scale)
 
 
 def horner_shift(matrix, k):

@@ -164,6 +164,45 @@ def bareiss_det(matrix):
     return w[n - 1][n - 1] * sign
 
 
+def naive_poly_op(op, p, q=None):
+    """List-based reference for Poly arithmetic through the public
+    constructor: the shorter operand is padded with the mode's zero and
+    each coefficient is computed on its own.  op is "+", "-", "neg", "*"
+    or "divmod"."""
+    zero = _linalg.coerce_scalar(0, p.mode)
+    a = list(p.coeffs)
+    if op == "neg":
+        return Poly([-x for x in a], p.mode)
+    b = list(q.coeffs)
+    if op in ("+", "-"):
+        n = max(len(a), len(b))
+        a += [zero] * (n - len(a))
+        b += [zero] * (n - len(b))
+        return Poly([x + y if op == "+" else x - y for x, y in zip(a, b)], p.mode)
+    if op == "*":
+        if not a or not b:
+            return Poly((), p.mode)
+        out = [zero] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x == 0:
+                continue
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return Poly(out, p.mode)
+    if op == "divmod":
+        dn = len(b) - 1
+        quot = [zero] * max(len(a) - dn, 0)
+        for i in range(len(a) - 1, dn - 1, -1):
+            if a[i] == 0:
+                continue
+            f = a[i] / b[-1]
+            quot[i - dn] = f
+            for j in range(dn + 1):
+                a[i - dn + j] -= f * b[j]
+        return Poly(quot, p.mode), Poly(a[:dn], p.mode)
+    raise ValueError(f"unknown op {op!r}")
+
+
 def rational_det(matrix):
     """Determinant of a RationalMatrix by cofactor expansion."""
     if matrix.rows == 1:

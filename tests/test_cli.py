@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from rosepen import cli
 from rosepen.cli import main
 
 DESK1_JSON = {
@@ -214,6 +215,78 @@ def test_verify_respects_max_m_env(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("ROSEPEN_MAX_M", "2")
     code, _, err = run(capsys, "verify", "--input", path, "--all")
     assert code == 2 and "ROSEPEN_MAX_M" in err
+
+
+def test_verify_rejects_non_integer_max_m_env(tmp_path, capsys, monkeypatch):
+    path = write(tmp_path, "desk1.json", DESK1_JSON)
+    monkeypatch.setenv("ROSEPEN_MAX_M", "abc")
+    code, out, err = run(capsys, "verify", "--input", path, "--all")
+    assert code == 2 and out == ""
+    assert err.startswith("rosepen:") and "ROSEPEN_MAX_M" in err
+
+
+def test_verify_all_computes_det_s_once(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counting_det(matrix):
+        calls.append(matrix)
+        return poly_matrix_det(matrix)
+
+    poly_matrix_det = cli.poly_matrix_det
+    cli._system_det.cache_clear()
+    monkeypatch.setattr(cli, "poly_matrix_det", counting_det)
+    doc = {"P": [[[1, 2, 0, 1]]], "A": [[3]], "E": [[1]], "B": [[2]], "C": [[1]]}
+    path = write(tmp_path, "sys.json", doc)
+    code, out, _ = run(capsys, "verify", "--input", path, "--all")
+    assert code == 0 and len(calls) == 1
+    assert all(r["det_constant"] is not None for r in json.loads(out)["results"])
+
+    # with det S already memoised, a failing certificate still gets no constant
+    desk1 = write(tmp_path, "desk1.json", DESK1_JSON)
+    code, out, _ = run(capsys, "verify", "--input", desk1, "--sigma", "1,0")
+    assert code == 0
+    pencil = json.loads(run(capsys, "build", "--input", desk1, "--sigma", "1,0")[1])
+    pencil["const_term"][0][1] = 7
+    for k in ("sigma", "sigma_default"):
+        pencil.pop(k)
+    ppath = write(tmp_path, "pencil.json", pencil)
+    code, out, _ = run(
+        capsys, "verify", "--input", desk1, "--sigma", "1,0", "--pencil", ppath
+    )
+    assert code == 6 and json.loads(out)["results"][0]["det_constant"] is None
+    assert len(calls) == 2
+
+
+# --- out-of-range numbers ------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["zeros"],
+        ["zeros", "--mode", "float", "--backend", "numeric"],
+        ["build", "--mode", "float"],
+        ["verify", "--all"],
+    ],
+)
+def test_json_number_beyond_float_range_is_a_parse_error(tmp_path, capsys, argv):
+    path = tmp_path / "inf.json"
+    # 1e400 parses to float('inf')
+    path.write_text(json.dumps(DESK1_JSON).replace('"C": [[1]]', '"C": [[1e400]]'))
+    code, out, err = run(capsys, *argv, "--input", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("rosepen:") and "non-finite" in err
+
+
+def test_numeric_backend_on_exact_numbers_beyond_float_range(tmp_path, capsys):
+    doc = dict(DESK1_JSON, C=[[10**400]])
+    path = write(tmp_path, "big.json", doc)
+    code, out, err = run(capsys, "zeros", "--input", path, "--backend", "numeric")
+    assert code == 2 and out == ""
+    assert err.startswith("rosepen:") and "float range" in err
+    code, out, err = run(capsys, "zeros", "--input", path, "--mode", "float", "--backend", "numeric")
+    assert code == 2 and err.startswith("rosepen:") and "float range" in err
+    # the exact pencil itself is fine
+    assert run(capsys, "build", "--input", path)[0] == 0
 
 
 # --- ciss / smith / realize -------------------------------------------------------

@@ -127,6 +127,13 @@ def test_rational_roots_where_the_float_screen_overflows():
     assert rational_roots(p)[0] == [(F(-1), 1), (F(999999999989), 1)]
 
 
+def test_rational_roots_with_coefficients_beyond_float_range():
+    huge = Poly([1, 10**400, 1])
+    assert rational_roots(huge) == ([], huge)
+    roots, rest = rational_roots(Poly([-2, 1]) * huge)
+    assert roots == [(F(2), 1)] and rest == huge
+
+
 # --- eig_eip_split ----------------------------------------------------------------
 
 def test_split_shared_root_is_eigenpole():

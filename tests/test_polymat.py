@@ -1,12 +1,15 @@
 """Polynomial, rational-function and polynomial-matrix arithmetic along with
 the Smith and Smith-McMillan reductions."""
 
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from _helpers import LAM, ONE, bareiss_det, cofactor_det
+from _helpers import LAM, ONE, bareiss_det, cofactor_det, naive_poly_op
 from rosepen.polymat import (
     Poly,
     PolyMatrix,
@@ -107,6 +110,45 @@ def test_eval_mode_mismatch():
         poly_matrix_eval(fm, F(1, 2))
 
 
+# Interior zeros, negative and signed-zero coefficients, unequal lengths.
+ARITH_OPERANDS = {
+    "exact": [
+        [0, -3, 0, F(1, 2)],
+        [F(-2, 3)],
+        [5, 0, 0, 0, -1],
+        [],
+        [0, 0, 1],
+        [F(7, 4), -1],
+    ],
+    "float": [
+        [-0.0, 1.5, 0.0, -2.0],
+        [0.0, -0.0, 3.0],
+        [-1.0],
+        [2.0, 0.0, -0.0, 0.0, -4.0],
+        [],
+        [-0.5, -0.0, 1.0],
+    ],
+}
+
+
+def _exact_coeffs(p):
+    return p.mode, tuple((type(c), c, math.copysign(1.0, c)) for c in p.coeffs)
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_arithmetic_matches_naive_reference(mode):
+    polys = [Poly(c, mode) for c in ARITH_OPERANDS[mode]]
+    for p in polys:
+        assert _exact_coeffs(-p) == _exact_coeffs(naive_poly_op("neg", p))
+        for q in polys:
+            for op, got in (("+", p + q), ("-", p - q), ("*", p * q)):
+                assert _exact_coeffs(got) == _exact_coeffs(naive_poly_op(op, p, q)), (op, p, q)
+            if not q.is_zero:
+                got = divmod(p, q)
+                want = naive_poly_op("divmod", p, q)
+                assert [_exact_coeffs(x) for x in got] == [_exact_coeffs(x) for x in want]
+
+
 # --- poly_matrix_det --------------------------------------------------------
 
 def test_det_desk1_cofactor_value():
@@ -161,6 +203,33 @@ def test_det_matches_cofactor_oracle_on_random_matrices():
 )
 def test_det_structured_cases_match_oracles(m):
     assert poly_matrix_det(m) == cofactor_det(m) == bareiss_det(m)
+
+
+_INT = st.integers(-5, 5)
+_RATIONAL = st.builds(F, st.integers(-9, 9), st.integers(1, 7))
+
+
+@st.composite
+def _mixed_rows_matrix(draw):
+    """Square, size <= 4, degree <= 3; each row is zero, integral, or mixes
+    integer and non-integer rational coefficients."""
+    size = draw(st.integers(1, 4))
+    rows = []
+    for _ in range(size):
+        kind = draw(st.sampled_from(["zero", "integer", "mixed"]))
+        scalars = {"zero": st.just(0), "integer": _INT, "mixed": _INT | _RATIONAL}[kind]
+        rows.append(
+            [Poly(draw(st.lists(scalars, max_size=4))) for _ in range(size)]
+        )
+    return PolyMatrix(rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_mixed_rows_matrix())
+@example(PolyMatrix([[Poly([2, -1]), Poly([0, 3])], [Poly([F(1, 2), 1]), Poly([F(-2, 3)])]]))
+@example(PolyMatrix([[Poly([1, F(1, 3)]), Poly([5])], [Poly.zero(), Poly.zero()]]))
+def test_det_of_row_scaled_rationals_matches_oracles(m):
+    assert poly_matrix_det(m) == bareiss_det(m) == cofactor_det(m)
 
 
 def test_det_matches_pointwise_evaluation():
