@@ -146,9 +146,8 @@ def _system_det(sys):
     return poly_matrix_det(assemble_system_matrix(sys))
 
 
-def _verify_payload(doc, order, pencil_doc):
-    """One certificate check; importable at module level for process pools."""
-    sys = rio.decode_system(doc, EXACT)
+def _verify_payload(sys, order, pencil_doc):
+    """One certificate check of the decoded system `sys`."""
     sigma = Bijection(tuple(order))
     pencil = (
         rio.decode_pencil(pencil_doc, EXACT)
@@ -212,14 +211,17 @@ def cmd_verify(args):
         except InvalidSigma as exc:
             return _fail(EXIT_SIGMA, f"invalid sigma: {exc}")
 
-    payloads = [(doc, order, pencil_doc) for order in orders]
-    if args.jobs > 1 and len(payloads) > 1:
+    # the pool forks all its workers at the first submit, so never ask for
+    # more than there are certificates or CPUs
+    workers = min(args.jobs, len(orders), os.cpu_count() or 1)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        payloads = [(doc, order, pencil_doc) for order in orders]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_verify_star, payloads))
     else:
-        results = [_verify_payload(*p) for p in payloads]
+        results = [_verify_payload(sys, order, pencil_doc) for order in orders]
 
     summary = {
         "m": sys.m,
@@ -232,7 +234,10 @@ def cmd_verify(args):
 
 
 def _verify_star(payload):
-    return _verify_payload(*payload)
+    """One certificate check in a `--jobs` worker.  The system travels as
+    its JSON document and is decoded here, since a Poly cannot be pickled."""
+    doc, order, pencil_doc = payload
+    return _verify_payload(rio.decode_system(doc, EXACT), order, pencil_doc)
 
 
 def cmd_ciss(args):

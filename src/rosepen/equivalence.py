@@ -8,6 +8,12 @@ right factors yields explicit unimodular transforms U, V that act as the
 identity on the r-by-r state block, i.e. a checkable certificate that the
 pencil is a trimmed structured linearization of the system matrix.
 
+Only the pencil depends on sigma beyond its consecution pattern.  The
+pieces that do not (the step pairs, the factor matrices, the intermediate
+pencils, U and V, and the target) are built once per system and shared by
+every sigma of a sweep; each sigma still multiplies its own pencil through
+the chain, compares every step and forms its own residual.
+
 Everything here is exact-mode only: the certificate is a proof artifact and
 float residuals prove nothing.
 """
@@ -15,9 +21,10 @@ float residuals prove nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from ._linalg import EXACT
-from .fiedler import make_factor, pencil_direct
+from .fiedler import _factor_grids, pencil_direct
 from .polymat import Poly, PolyMatrix, horner_shift, poly_matrix_det
 from .system import assemble_system_matrix
 
@@ -208,8 +215,74 @@ def aux_block_transpose(aux, sys):
     )
 
 
-def _factor_pm(sys, i):
-    return PolyMatrix.from_scalar_grid(make_factor(sys, i).matrix, sys.mode)
+class _SystemPieces:
+    """The sigma-independent pieces of the certificates of one system, each
+    built on first use by the public function that defines it."""
+
+    def __init__(self, sys):
+        self.sys = sys
+        self._memo = {}
+
+    def _get(self, key, build):
+        try:
+            return self._memo[key]
+        except KeyError:
+            value = self._memo[key] = build()
+            return value
+
+    def aux(self, kind, i):
+        return self._get(("aux", kind, i), lambda: aux_matrix(self.sys, kind, i))
+
+    def factor(self, i):
+        """The Fiedler factor M_i as a PolyMatrix."""
+        sys = self.sys
+        return self._get(
+            ("factor", i),
+            lambda: PolyMatrix.from_scalar_grid(_factor_grids(sys)[i], sys.mode),
+        )
+
+    def step(self, i, consecution):
+        """(left, right) of step i: (Q_i^B, R_i) after a consecution,
+        (R_i^B, Q_i) after an inversion."""
+
+        def build():
+            q, rr = self.aux("Q", i), self.aux("R", i)
+            if consecution:
+                return aux_block_transpose(q, self.sys), rr
+            return aux_block_transpose(rr, self.sys), q
+
+        return self._get(("step", i, consecution), build)
+
+    def pencil(self, sigma, j):
+        """intermediate_pencil(sys, sigma, j), which depends on sigma only
+        through the order of the factors it keeps."""
+        kept = tuple(i for i in sigma.inverse_order if i <= self.sys.m - j)
+        return self._get(("pencil", kept), lambda: intermediate_pencil(self.sys, sigma, j))
+
+    def transforms(self, flags):
+        """(U, V) for the consecution flags of steps 1..m-1."""
+
+        def build():
+            steps = [self.step(i, c) for i, c in enumerate(flags, start=1)]
+            u = None
+            for left, _ in reversed(steps):
+                u = left.matrix if u is None else u * left.matrix
+            v = None
+            for _, right in steps:
+                v = right.matrix if v is None else v * right.matrix
+            return u, v
+
+        return self._get(("transforms", flags), build)
+
+    def target(self):
+        return self._get(("target",), lambda: _target(self.sys))
+
+
+@lru_cache(maxsize=1)
+def _pieces(sys):
+    """The certificate pieces of the current (hashable, exact) system;
+    maxsize=1 holds only that system."""
+    return _SystemPieces(sys)
 
 
 def aux_relations_check(sys, i):
@@ -238,8 +311,9 @@ def aux_relations_check(sys, i):
 
     if qb * lam_d * rr.matrix != lam_d_next + t.matrix:
         failures.append(f"(a) Q{i}^B (lam D{i}) R{i} != lam D{i + 1} + T{i}")
-    lo = _factor_pm(sys, m - (i + 1))
-    hi = _factor_pm(sys, m - i)
+    pieces = _pieces(sys)
+    lo = pieces.factor(m - (i + 1))
+    hi = pieces.factor(m - i)
     if qb * (lo * hi) * rr.matrix != lo + t.matrix:
         failures.append(f"(a) Q{i}^B (M{m - i - 1} M{m - i}) R{i} != M{m - i - 1} + T{i}")
     if rb * lam_d * q.matrix != lam_d_next + tb:
@@ -247,7 +321,7 @@ def aux_relations_check(sys, i):
     if rb * (hi * lo) * q.matrix != lo + tb:
         failures.append(f"(b) R{i}^B (M{m - i} M{m - i - 1}) Q{i} != M{m - i - 1} + T{i}^B")
     for j in range(0, m - i - 1):
-        fj = _factor_pm(sys, j)
+        fj = pieces.factor(j)
         if t.matrix * fj != t.matrix or fj * t.matrix != t.matrix:
             failures.append(f"(c) T{i} M{j} = M{j} T{i} = T{i} fails")
         if tb * fj != tb or fj * tb != tb:
@@ -263,13 +337,13 @@ def intermediate_pencil(sys, sigma, j):
     m = sys.m
     if not 1 <= j <= m:
         raise ValueError(f"intermediate index {j} out of range 1..{m}")
+    pieces = _pieces(sys)
     kept = [i for i in sigma.inverse_order if i <= m - j]
     prod = None
     for i in kept:
-        f = _factor_pm(sys, i)
+        f = pieces.factor(i)
         prod = f if prod is None else prod * f
-    d = aux_matrix(sys, "D", j)
-    return d.matrix.scale(Poly.lam()) - prod
+    return pieces.aux("D", j).matrix.scale(Poly.lam()) - prod
 
 
 def _target(sys):
@@ -328,6 +402,8 @@ def build_certificate(sys, sigma, pencil=None):
     closed-form intermediate pencil, and the final product against
     diag(-I_{(m-1)n}, S(lam)).  Any mismatch raises CertificateError with
     the first differing entry; a forged pencil is never silently accepted.
+    The sigma-independent pieces come from the per-system memo; every
+    product that involves the pencil is computed here, for this call.
     """
     _require_exact(sys)
     m = sys.m
@@ -337,28 +413,16 @@ def build_certificate(sys, sigma, pencil=None):
         raise ValueError("bijection length does not match the system degree")
     if pencil is None:
         pencil = pencil_direct(sys, sigma)
-    x = pencil.as_poly_matrix()
+    pieces = _pieces(sys)
+    x0 = pencil.as_poly_matrix()
 
-    left_steps = []
-    right_steps = []
-    chain_ok = True
-    for i in range(1, m):
-        consecution = sigma.has_consecution_at(m - i - 1)
-        q = aux_matrix(sys, "Q", i)
-        rr = aux_matrix(sys, "R", i)
-        if consecution:
-            left = aux_block_transpose(q, sys)
-            right = rr
-        else:
-            left = aux_block_transpose(rr, sys)
-            right = q
+    flags = tuple(sigma.has_consecution_at(m - i - 1) for i in range(1, m))
+    steps = [pieces.step(i, c) for i, c in enumerate(flags, start=1)]
+    x = x0
+    for i, (left, right) in enumerate(steps, start=1):
         x = left.matrix * x * right.matrix
-        left_steps.append(left)
-        right_steps.append(right)
-        expected = intermediate_pencil(sys, sigma, i + 1)
-        diff = x - expected
+        diff = x - pieces.pencil(sigma, i + 1)
         if not diff.is_zero_matrix():
-            chain_ok = False
             pos = _first_nonzero(diff)
             raise CertificateError(
                 f"step {i} product deviates from the intermediate pencil "
@@ -366,30 +430,21 @@ def build_certificate(sys, sigma, pencil=None):
                 position=pos[:2],
             )
 
-    u = None
-    for aux in reversed(left_steps):
-        u = aux.matrix if u is None else u * aux.matrix
-    v = None
-    for aux in right_steps:
-        v = aux.matrix if v is None else v * aux.matrix
-
-    u_factors = tuple(
-        (aux.kind, aux.index, aux.block_transposed) for aux in reversed(left_steps)
-    )
-    v_factors = tuple(
-        (aux.kind, aux.index, aux.block_transposed) for aux in right_steps
-    )
-
-    target = _target(sys)
-    residual = u * pencil.as_poly_matrix() * v - target
+    u, v = pieces.transforms(flags)
+    target = pieces.target()
+    residual = u * x0 * v - target
     cert = EquivalenceCertificate(
         U=u,
         V=v,
-        u_factors=u_factors,
-        v_factors=v_factors,
+        u_factors=tuple(
+            (aux.kind, aux.index, aux.block_transposed) for aux, _ in reversed(steps)
+        ),
+        v_factors=tuple(
+            (aux.kind, aux.index, aux.block_transposed) for _, aux in steps
+        ),
         residual=residual,
         target=target,
-        chain_checked=chain_ok,
+        chain_checked=True,
     )
     if not cert.residual_zero:
         pos = _first_nonzero(residual)

@@ -16,6 +16,7 @@ that borders a classical Fiedler pencil of P.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import _linalg
 from .polymat import Poly, PolyMatrix
@@ -314,15 +315,34 @@ def _metadata(sigma):
     return m, m - s.i1
 
 
+@lru_cache(maxsize=1)
+def _exact_factor_grids(sys):
+    return tuple(make_factor(sys, i).matrix for i in range(sys.m + 1))
+
+
+def _factor_grids(sys):
+    """The grids of M_0, ..., M_m.
+
+    In exact mode they are memoised for the current system, which every
+    sigma of a `verify` sweep shares; maxsize=1 holds only that system.
+    Float mode builds them afresh, because -0.0 == 0.0 makes two systems
+    with different factors compare equal.
+    """
+    if sys.mode == _linalg.EXACT:
+        return _exact_factor_grids(sys)
+    return tuple(make_factor(sys, i).matrix for i in range(sys.m + 1))
+
+
 def pencil_direct(sys, sigma):
     """lam*M_m - M_{sigma^{-1}(1)} ... M_{sigma^{-1}(m)} by plain product."""
     if sigma.m != sys.m:
         raise ValueError("bijection length does not match the system degree")
+    grids = _factor_grids(sys)
     prod = None
     for i in sigma.inverse_order:
-        f = make_factor(sys, i).matrix
+        f = grids[i]
         prod = f if prod is None else _linalg.mul(prod, f)
-    lead = make_factor(sys, sys.m).matrix
+    lead = grids[sys.m]
     b_row, c_col = _metadata(sigma)
     return SystemPencil(
         lead=lead,

@@ -489,7 +489,7 @@ class PolyMatrix:
 
     def __add__(self, other):
         self._check(other)
-        return PolyMatrix(
+        return PolyMatrix._trusted(
             tuple(
                 tuple(a + b for a, b in zip(ra, rb))
                 for ra, rb in zip(self.entries, other.entries)
@@ -498,7 +498,7 @@ class PolyMatrix:
 
     def __sub__(self, other):
         self._check(other)
-        return PolyMatrix(
+        return PolyMatrix._trusted(
             tuple(
                 tuple(a - b for a, b in zip(ra, rb))
                 for ra, rb in zip(self.entries, other.entries)
@@ -508,22 +508,50 @@ class PolyMatrix:
     def __neg__(self):
         return PolyMatrix(tuple(tuple(-e for e in row) for row in self.entries))
 
+    @classmethod
+    def _trusted(cls, entries):
+        """Result of arithmetic on valid operands: `entries` is a non-empty
+        rectangular tuple of tuples of Polys of one mode, so nothing is
+        re-validated."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", len(entries))
+        object.__setattr__(m, "cols", len(entries[0]))
+        object.__setattr__(m, "entries", entries)
+        return m
+
     def __mul__(self, other):
-        if isinstance(other, PolyMatrix):
-            if self.cols != other.rows:
-                raise ValueError("inner dimensions do not match")
-            bt = tuple(zip(*other.entries))
-            zero = Poly.zero(self.mode)
-            return PolyMatrix(
-                tuple(
-                    tuple(
-                        sum((a * b for a, b in zip(row, col) if not (a.is_zero or b.is_zero)), zero)
-                        for col in bt
-                    )
-                    for row in self.entries
-                )
-            )
-        return self.scale(other)
+        """Matrix product, or `scale` for a scalar or scalar polynomial.
+
+        The cost is proportional to the nonzero products: each nonzero
+        a = self[i, k] adds a * b into out[i, j] for the nonzero b in row k
+        of `other`, and a constant-one a adds b itself.  Each entry sums its
+        terms by increasing k; in float mode the sum starts from the zero
+        polynomial, as `sum` does, so a -0.0 coefficient comes out as +0.0.
+        """
+        if not isinstance(other, PolyMatrix):
+            return self.scale(other)
+        if self.cols != other.rows:
+            raise ValueError("inner dimensions do not match")
+        mode = self.mode
+        if other.mode != mode:
+            raise ValueError("field mode mismatch")
+        zero = Poly.zero(mode)
+        start = zero if mode == FLOAT else None
+        nonzero_rows = [
+            [(j, b) for j, b in enumerate(row) if b.coeffs] for row in other.entries
+        ]
+        out = []
+        for row in self.entries:
+            acc = [start] * other.cols
+            for a, terms in zip(row, nonzero_rows):
+                if not a.coeffs or not terms:
+                    continue
+                one = a.coeffs == (1,)
+                for j, b in terms:
+                    term = b if one else a * b
+                    acc[j] = term if acc[j] is None else acc[j] + term
+            out.append(tuple(zero if e is None else e for e in acc))
+        return PolyMatrix._trusted(tuple(out))
 
     def scale(self, c):
         """Entrywise multiplication by a scalar or a scalar polynomial."""

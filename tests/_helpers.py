@@ -203,6 +203,23 @@ def naive_poly_op(op, p, q=None):
     raise ValueError(f"unknown op {op!r}")
 
 
+def naive_poly_matmul(a, b):
+    """Dense reference product of two PolyMatrix operands: every (i, k, j)
+    triple is visited and each entry sums its nonzero terms by increasing k,
+    starting from the zero polynomial."""
+    cols = tuple(zip(*b.entries))
+    zero = Poly.zero(a.mode)
+    return PolyMatrix(
+        tuple(
+            tuple(
+                sum((x * y for x, y in zip(row, col) if not (x.is_zero or y.is_zero)), zero)
+                for col in cols
+            )
+            for row in a.entries
+        )
+    )
+
+
 def rational_det(matrix):
     """Determinant of a RationalMatrix by cofactor expansion."""
     if matrix.rows == 1:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from rosepen import cli
+from rosepen import cli, equivalence, fiedler
 from rosepen.cli import main
 
 DESK1_JSON = {
@@ -255,6 +255,98 @@ def test_verify_all_computes_det_s_once(tmp_path, capsys, monkeypatch):
     )
     assert code == 6 and json.loads(out)["results"][0]["det_constant"] is None
     assert len(calls) == 2
+
+
+def _clear_memos():
+    cli._system_det.cache_clear()
+    equivalence._pieces.cache_clear()
+    fiedler._exact_factor_grids.cache_clear()
+
+
+M3_JSON = {"P": [[[1, 2, 0, 1]]], "A": [[3]], "E": [[1]], "B": [[2]], "C": [[1]]}
+
+
+def test_verify_jobs_pool_is_capped(tmp_path, capsys, monkeypatch):
+    import concurrent.futures
+
+    asked = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return list(map(fn, items))
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    path = write(tmp_path, "sys.json", M3_JSON)
+    serial = run(capsys, "verify", "--input", path, "--all", "--jobs", "1")
+    assert serial[0] == 0 and asked == []
+    # m = 3: six certificates
+    for cpus, want in ((16, [6]), (4, [4]), (1, []), (None, [])):
+        asked.clear()
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        assert run(capsys, "verify", "--input", path, "--all", "--jobs", "64") == serial
+        assert asked == want
+
+
+def test_verify_all_builds_each_piece_once(tmp_path, capsys, monkeypatch):
+    aux_calls, factor_calls = [], []
+    aux_matrix, make_factor = equivalence.aux_matrix, fiedler.make_factor
+
+    def counting_aux(sys, kind, i):
+        aux_calls.append((kind, i))
+        return aux_matrix(sys, kind, i)
+
+    def counting_factor(sys, i):
+        factor_calls.append(i)
+        return make_factor(sys, i)
+
+    monkeypatch.setattr(equivalence, "aux_matrix", counting_aux)
+    monkeypatch.setattr(fiedler, "make_factor", counting_factor)
+    _clear_memos()
+    doc = {"P": [[[1, 2, 0, 1, 1]]], "A": [[3]], "E": [[1]], "B": [[2]], "C": [[1]]}
+    path = write(tmp_path, "sys.json", doc)
+    code, out, _ = run(capsys, "verify", "--input", path, "--all")
+    assert code == 0 and len(json.loads(out)["results"]) == 24
+    assert len(aux_calls) == len(set(aux_calls)) > 0
+    assert len(factor_calls) <= 4 + 1
+
+
+def test_verify_memos_hold_no_stale_system(tmp_path, capsys):
+    # two systems with the same (n, r, m) = (1, 1, 3), verified back to back
+    first = write(tmp_path, "a.json", M3_JSON)
+    second = write(tmp_path, "b.json", dict(M3_JSON, P=[[[2, -1, 3, 1]]], A=[[-1]]))
+    fresh = []
+    for path in (first, second):
+        _clear_memos()
+        fresh.append(run(capsys, "verify", "--input", path, "--all"))
+    _clear_memos()
+    warm = [run(capsys, "verify", "--input", p, "--all") for p in (first, second)]
+    assert warm == fresh and fresh[0][1] != fresh[1][1]
+    assert all(code == 0 for code, _, _ in fresh)
+
+
+def test_verify_forged_pencil_after_a_passing_sweep(tmp_path, capsys):
+    path = write(tmp_path, "desk1.json", DESK1_JSON)
+    _clear_memos()
+    code, out, _ = run(capsys, "verify", "--input", path, "--all")
+    assert code == 0 and json.loads(out)["all_passed"] is True
+    pencil = json.loads(run(capsys, "build", "--input", path, "--sigma", "1,0")[1])
+    pencil["const_term"][0][1] = 7
+    for k in ("sigma", "sigma_default"):
+        pencil.pop(k)
+    ppath = write(tmp_path, "pencil.json", pencil)
+    code, out, _ = run(capsys, "verify", "--input", path, "--sigma", "1,0", "--pencil", ppath)
+    result = json.loads(out)["results"][0]
+    assert code == 6 and result["residual_zero"] is False
+    assert result["det_constant"] is None
 
 
 # --- out-of-range numbers ------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _helpers import LAM, ONE, bareiss_det, cofactor_det, naive_poly_op
+from _helpers import LAM, ONE, bareiss_det, cofactor_det, naive_poly_matmul, naive_poly_op
 from rosepen.polymat import (
     Poly,
     PolyMatrix,
@@ -242,6 +242,67 @@ def test_det_matches_pointwise_evaluation():
         d = poly_matrix_det(m)
         for x in range(size * 2 + 3):
             assert d(F(x)) == _linalg.det(poly_matrix_eval(m, F(x)))
+
+
+# --- PolyMatrix product -----------------------------------------------------
+
+_FLOAT = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.25, 3.0])
+
+
+@st.composite
+def _product_operands(draw):
+    """A (rows x inner) and B (inner x cols), sizes 1..5, of one mode, with
+    whole zero rows and columns and zero, one, lam and general entries."""
+    mode = draw(st.sampled_from(["exact", "float"]))
+    scalars = _INT | _RATIONAL if mode == "exact" else _FLOAT
+
+    def entry():
+        kind = draw(st.sampled_from(["zero", "one", "lam", "poly", "poly"]))
+        if kind == "poly":
+            return Poly(draw(st.lists(scalars, max_size=4)), mode)
+        return {"zero": Poly.zero, "one": Poly.one, "lam": Poly.lam}[kind](mode)
+
+    def matrix(h, w):
+        zero_rows = draw(st.sets(st.integers(0, h - 1)))
+        zero_cols = draw(st.sets(st.integers(0, w - 1)))
+        return PolyMatrix(
+            [
+                [
+                    Poly.zero(mode) if i in zero_rows or j in zero_cols else entry()
+                    for j in range(w)
+                ]
+                for i in range(h)
+            ]
+        )
+
+    rows, inner, cols = (draw(st.integers(1, 5)) for _ in range(3))
+    return matrix(rows, inner), matrix(inner, cols)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_product_operands())
+# a constant-one entry times an interior -0.0: the dense sum gives +0.0
+@example(
+    (
+        PolyMatrix([[Poly.one("float"), Poly([-1.0], "float")]]),
+        PolyMatrix([[Poly([1.0, -0.0, 2.0], "float")], [Poly.zero("float")]]),
+    )
+)
+@example((PolyMatrix([[ONE, LAM], [Poly.zero(), Poly.zero()]]), PolyMatrix([[LAM], [Poly([F(1, 2), -1])]])))
+def test_product_matches_dense_reference(operands):
+    a, b = operands
+    got, want = a * b, naive_poly_matmul(a, b)
+    assert (got.rows, got.cols) == (want.rows, want.cols)
+    assert [[_exact_coeffs(e) for e in row] for row in got.entries] == [
+        [_exact_coeffs(e) for e in row] for row in want.entries
+    ]
+
+
+def test_product_rejects_mismatched_operands():
+    with pytest.raises(ValueError):
+        PolyMatrix([[ONE, ONE]]) * PolyMatrix([[ONE, ONE]])
+    with pytest.raises(ValueError):
+        PolyMatrix([[ONE]]) * PolyMatrix([[Poly.one("float")]])
 
 
 # --- horner_shift -----------------------------------------------------------
