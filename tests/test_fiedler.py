@@ -1,6 +1,7 @@
 """Fiedler factors, bijections/CISS, the three pencil constructions,
 companion forms, block transposition, and pentadiagonal structure."""
 
+import math
 import random
 from fractions import Fraction as F
 from itertools import permutations
@@ -379,3 +380,24 @@ def test_distinct_pencil_count_matches_classical():
             for p in permutations(range(m))
         }
         assert len(with_state) == len(classical)
+
+
+def test_float_pencils_of_systems_equal_up_to_signed_zeros():
+    # -0.0 == 0.0, so these systems compare (and hash) equal, yet -E differs
+    # in the sign of one zero; no factor may be shared between them
+    def system(e01):
+        return RosenbrockSystem(
+            PolyMatrix([[Poly([0.0, 0.0, 1.0], "float")]]),
+            [[0.0, 0.0], [0.0, 0.0]],
+            [[1.0, e01], [0.0, 1.0]],
+            [[1.0], [1.0]],
+            [[1.0, 1.0]],
+        )
+
+    plus, minus = system(0.0), system(-0.0)
+    assert plus == minus
+    sigma = Bijection((1, 0))
+    for first, second in ((plus, minus), (minus, plus)):
+        pencil_direct(first, sigma)
+        got = pencil_direct(second, sigma).lead[2][3]
+        assert got == 0 and math.copysign(1.0, got) == -math.copysign(1.0, second.E[0][1])

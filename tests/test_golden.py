@@ -123,13 +123,16 @@ def docs():
     return inputs()
 
 
-@pytest.mark.parametrize("case_id,name,argv", cases(), ids=[c[0] for c in cases()])
+CASES = cases()
+
+
+@pytest.mark.parametrize("case_id,name,argv", CASES, ids=[c[0] for c in CASES])
 def test_cli_output_matches_golden(case_id, name, argv, golden, docs, tmp_path):
     assert run_case(tmp_path, docs[name], argv) == golden[case_id]
 
 
 def test_golden_file_covers_exactly_the_cases(golden):
-    assert sorted(golden) == sorted(c[0] for c in cases())
+    assert sorted(golden) == sorted(c[0] for c in CASES)
 
 
 if __name__ == "__main__":
@@ -137,6 +140,6 @@ if __name__ == "__main__":
 
     docs = inputs()
     with tempfile.TemporaryDirectory() as tmp:
-        record = {cid: run_case(tmp, docs[name], argv) for cid, name, argv in cases()}
+        record = {cid: run_case(tmp, docs[name], argv) for cid, name, argv in CASES}
     GOLDEN.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(record)} cases to {GOLDEN}")
