@@ -14,14 +14,6 @@ EXACT = "exact"
 FLOAT = "float"
 
 
-def scalar_mode(x):
-    if isinstance(x, float):
-        return FLOAT
-    if isinstance(x, (int, Fraction)):
-        return EXACT
-    raise TypeError(f"unsupported scalar type {type(x).__name__}")
-
-
 def coerce_scalar(x, mode):
     """x as an element of the field of `mode`: a `Fraction` in exact mode
     (a `Fraction` argument is returned as it is, since it is immutable),

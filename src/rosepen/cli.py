@@ -25,7 +25,7 @@ from .eigen import classify_zeros, pencil_determinant, solve_rep
 from .equivalence import CertificateError, build_certificate
 from .fiedler import Bijection, ciss, pencil_direct
 from .polymat import poly_matrix_det, smith_form
-from .system import SingularStateError, assemble_system_matrix, realize
+from .system import SingularStateError, assemble_system_matrix, is_minimal, realize
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -100,28 +100,16 @@ def cmd_zeros(args):
         kind = rio.detect_kind(doc)
         if kind == "system":
             sys = rio.decode_system(doc, args.mode)
-            spec = None
         elif kind == "repspec":
-            spec = rio.decode_rep_spec(doc, args.mode)
-            sys = None
+            sys = realize(rio.decode_rep_spec(doc, args.mode))
         else:
             raise ValueError(f"zeros expects a system or REP spec, got {kind}")
     except (OSError, json.JSONDecodeError, ValueError, TypeError, KeyError) as exc:
         return _fail(EXIT_PARSE, f"cannot load input: {exc}")
+    solve = solve_rep if kind == "repspec" else classify_zeros
     try:
-        if spec is not None:
-            import warnings
-
-            with warnings.catch_warnings():
-                # probe realization only for the pencil degree; solve_rep
-                # will re-realize and emit any user-facing warnings itself
-                warnings.simplefilter("ignore")
-                m = realize(spec).m
-            sigma = _parse_sigma(args.sigma, m) if args.sigma else None
-            report = solve_rep(spec, sigma=sigma, backend=args.backend)
-        else:
-            sigma = _parse_sigma(args.sigma, sys.m) if args.sigma else None
-            report = classify_zeros(sys, sigma=sigma, backend=args.backend)
+        sigma = _parse_sigma(args.sigma, sys.m) if args.sigma else None
+        report = solve(sys, sigma=sigma, backend=args.backend)
     except InvalidSigma as exc:
         return _fail(EXIT_SIGMA, f"invalid sigma: {exc}")
     except SingularStateError as exc:
@@ -146,14 +134,12 @@ def _system_det(sys):
     return poly_matrix_det(assemble_system_matrix(sys))
 
 
-def _verify_payload(sys, order, pencil_doc):
-    """One certificate check of the decoded system `sys`."""
+def _verify_payload(sys, order, pencil):
+    """One certificate check of the decoded system `sys` on `pencil`, or
+    on the Fiedler pencil of `order` when `pencil` is None."""
     sigma = Bijection(tuple(order))
-    pencil = (
-        rio.decode_pencil(pencil_doc, EXACT)
-        if pencil_doc is not None
-        else pencil_direct(sys, sigma)
-    )
+    if pencil is None:
+        pencil = pencil_direct(sys, sigma)
     digest = hashlib.sha256(
         rio.dumps(rio.encode_pencil(pencil)).encode()
     ).hexdigest()
@@ -181,9 +167,9 @@ def cmd_verify(args):
     try:
         doc = _load_json(args.input)
         sys = rio.decode_system(doc, EXACT)
-        pencil_doc = _load_json(args.pencil) if args.pencil else None
-        if pencil_doc is not None:
-            rio.decode_pencil(pencil_doc, EXACT)
+        pencil = (
+            rio.decode_pencil(_load_json(args.pencil), EXACT) if args.pencil else None
+        )
     except (OSError, json.JSONDecodeError, ValueError, TypeError, KeyError) as exc:
         return _fail(EXIT_PARSE, f"cannot load input: {exc}")
     if sys.m < 2:
@@ -217,11 +203,12 @@ def cmd_verify(args):
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        payloads = [(doc, order, pencil_doc) for order in orders]
+        # a --pencil run has one sigma and never gets here
+        payloads = [(doc, order) for order in orders]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_verify_star, payloads))
     else:
-        results = [_verify_payload(sys, order, pencil_doc) for order in orders]
+        results = [_verify_payload(sys, order, pencil) for order in orders]
 
     summary = {
         "m": sys.m,
@@ -236,8 +223,8 @@ def cmd_verify(args):
 def _verify_star(payload):
     """One certificate check in a `--jobs` worker.  The system travels as
     its JSON document and is decoded here, since a Poly cannot be pickled."""
-    doc, order, pencil_doc = payload
-    return _verify_payload(rio.decode_system(doc, EXACT), order, pencil_doc)
+    doc, order = payload
+    return _verify_payload(rio.decode_system(doc, EXACT), order, None)
 
 
 def cmd_ciss(args):
@@ -281,7 +268,7 @@ def cmd_realize(args):
         return _fail(EXIT_PARSE, f"cannot load REP spec: {exc}")
     sys = realize(spec)
     payload = rio.encode_system(sys)
-    payload["minimal"] = sys.minimal
+    payload["minimal"] = is_minimal(sys).minimal
     _emit(rio.dumps(payload), args.out)
     return EXIT_OK
 

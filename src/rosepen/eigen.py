@@ -30,6 +30,7 @@ from .polymat import (
     zero_pole_polys,
 )
 from .system import (
+    RosenbrockSystem,
     SingularStateError,
     assemble_system_matrix,
     is_minimal,
@@ -231,8 +232,9 @@ def classify_zeros(sys, sigma=None, backend="exact", pencil=None, tol=MATCH_TOL)
     as the intersection, plus multiplicity indices from the Smith-McMillan
     form in exact mode.
 
-    A non-minimal system still gets a report, flagged minimal=False: its
-    pencil eigenvalues are then invariant zeros of the realization, not
+    Minimality is decided here, once, by `is_minimal`.  A non-minimal
+    system still gets a report, flagged minimal=False: its pencil
+    eigenvalues are then invariant zeros of the realization, not
     necessarily zeros of the transfer function.
     """
     if not sys.e_is_nonsingular():
@@ -365,21 +367,24 @@ def classify_zeros(sys, sigma=None, backend="exact", pencil=None, tol=MATCH_TOL)
 
 def solve_rep(spec, sigma=None, backend="exact", tol=MATCH_TOL):
     """Direct method for a rational eigenproblem: realize the spec in
-    state-space form, build a Fiedler pencil by the splicing construction,
-    solve the GEP, classify.
+    state-space form, build a Fiedler pencil by the splicing construction
+    (the product for m = 1), solve the GEP, classify.
 
-    A non-minimal realization is not fatal: the pipeline proceeds with a
-    warning and the report downgrades its claims accordingly.
+    `spec` is a `RepSpec`, or a `RosenbrockSystem` already realized from
+    one.  Minimality is decided once, by `classify_zeros`; a non-minimal
+    realization is not fatal: the pipeline proceeds with a warning and the
+    report downgrades its claims accordingly.
     """
-    sys = realize(spec)
-    if sys.minimal is False:
-        warnings.warn(
-            "realization is not minimal; reported zeros are invariant zeros"
-        )
+    sys = spec if isinstance(spec, RosenbrockSystem) else realize(spec)
     if sigma is None:
         sigma = Bijection.first_companion_order(sys.m)
     if sys.m >= 2:
         pencil = pencil_algorithm1(sys, sigma)
     else:
         pencil = pencil_direct(sys, sigma)
-    return classify_zeros(sys, sigma=sigma, backend=backend, pencil=pencil, tol=tol)
+    report = classify_zeros(sys, sigma=sigma, backend=backend, pencil=pencil, tol=tol)
+    if not report.minimal:
+        warnings.warn(
+            "realization is not minimal; reported zeros are invariant zeros"
+        )
+    return report

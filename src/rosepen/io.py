@@ -16,7 +16,7 @@ from math import isfinite
 from ._linalg import EXACT
 from .eigen import ZeroReport
 from .fiedler import SystemPencil
-from .polymat import Poly, PolyMatrix, RationalFn, RationalMatrix
+from .polymat import Poly, PolyMatrix, RationalFn
 from .system import RepSpec, RepTerm, RosenbrockSystem
 
 __all__ = [
@@ -29,8 +29,6 @@ __all__ = [
     "decode_grid",
     "encode_poly_matrix",
     "decode_poly_matrix",
-    "encode_rational_matrix",
-    "decode_rational_matrix",
     "encode_system",
     "decode_system",
     "encode_rep_spec",
@@ -39,7 +37,6 @@ __all__ = [
     "decode_pencil",
     "encode_smith_form",
     "encode_zero_report",
-    "encode_certificate",
     "detect_kind",
     "dumps",
 ]
@@ -126,27 +123,6 @@ def decode_poly_matrix(obj, mode=EXACT):
     if not isinstance(obj, list) or any(not isinstance(row, list) for row in obj):
         raise ValueError("polynomial matrix must be a nested array")
     return PolyMatrix([[decode_poly(e, mode) for e in row] for row in obj])
-
-
-def encode_rational_matrix(matrix):
-    return [
-        [{"num": encode_poly(e.num), "den": encode_poly(e.den)} for e in row]
-        for row in matrix.entries
-    ]
-
-
-def decode_rational_matrix(obj, mode=EXACT):
-    rows = []
-    for row in obj:
-        out = []
-        for e in row:
-            if not isinstance(e, dict) or "num" not in e or "den" not in e:
-                raise ValueError("rational entry must be a {num, den} object")
-            out.append(
-                RationalFn(decode_poly(e["num"], mode), decode_poly(e["den"], mode))
-            )
-        rows.append(out)
-    return RationalMatrix(rows)
 
 
 def encode_system(sys):
@@ -247,17 +223,6 @@ def encode_smith_form(form):
     }
 
 
-def encode_smith_mcmillan(sm):
-    return {
-        "phi": [p.pretty() for p in sm.numerators],
-        "phi_coeffs": [encode_poly(p) for p in sm.numerators],
-        "psi": [p.pretty() for p in sm.denominators],
-        "psi_coeffs": [encode_poly(p) for p in sm.denominators],
-        "zero_rows": sm.zero_rows,
-        "zero_cols": sm.zero_cols,
-    }
-
-
 def encode_zero_report(report: ZeroReport):
     return {
         "zeros": [
@@ -294,22 +259,6 @@ def encode_zero_report(report: ZeroReport):
     }
 
 
-def encode_certificate(cert):
-    return {
-        "u_factors": [
-            {"kind": k, "index": i, "block_transposed": bt}
-            for k, i, bt in cert.u_factors
-        ],
-        "v_factors": [
-            {"kind": k, "index": i, "block_transposed": bt}
-            for k, i, bt in cert.v_factors
-        ],
-        "U": encode_poly_matrix(cert.U),
-        "V": encode_poly_matrix(cert.V),
-        "residual_zero": cert.residual_zero,
-    }
-
-
 def detect_kind(obj):
     """Classify a decoded JSON document by its schema."""
     if isinstance(obj, list):
@@ -319,8 +268,6 @@ def detect_kind(obj):
             return "repspec"
         if "const_term" in obj:
             return "pencil"
-        if {"P", "A", "E", "B", "C"} <= set(obj):
-            return "system"
         if "P" in obj:
             return "system"
     raise ValueError("unrecognized input document")

@@ -61,9 +61,9 @@ class RosenbrockSystem:
     zero coefficients).
     """
 
-    __slots__ = ("P", "A", "E", "B", "C", "n", "r", "m", "minimal")
+    __slots__ = ("P", "A", "E", "B", "C", "n", "r", "m")
 
-    def __init__(self, P, A=(), E=(), B=(), C=(), minimal=None):
+    def __init__(self, P, A=(), E=(), B=(), C=()):
         if not isinstance(P, PolyMatrix):
             raise TypeError("P must be a PolyMatrix")
         if not P.is_square:
@@ -92,7 +92,6 @@ class RosenbrockSystem:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "m", max(P.degree, 1))
-        object.__setattr__(self, "minimal", minimal)
 
     def __setattr__(self, name, value):
         raise AttributeError("RosenbrockSystem is immutable")
@@ -374,8 +373,8 @@ def realize(spec):
     Each scalar term is split into its polynomial part (absorbed into P)
     and a strictly proper part c/(lam - p); the latter contributes a state
     block p*I, E-block I, B-rows c*R and C-columns L, where C_term = L*R is
-    a rank factorization.  The minimality verdict is attached to the
-    returned system.
+    a rank factorization.  Construction only: whether the result is
+    minimal is decided by `is_minimal`, which `classify_zeros` runs.
     """
     mode = spec.mode
     n = spec.n
@@ -403,9 +402,7 @@ def realize(spec):
 
     r = sum(b[1] for b in blocks)
     if r == 0:
-        sys = RosenbrockSystem(P)
-        object.__setattr__(sys, "minimal", True)
-        return sys
+        return RosenbrockSystem(P)
 
     zero = _linalg.coerce_scalar(0, mode)
     a_grid = [[zero] * r for _ in range(r)]
@@ -423,10 +420,7 @@ def realize(spec):
             for i in range(n):
                 c_grid[i][offset + k] = left[i][k]
         offset += rho
-    sys = RosenbrockSystem(P, a_grid, e_grid, b_grid, c_grid)
-    verdict = bool(is_minimal(sys))
-    object.__setattr__(sys, "minimal", verdict)
-    return sys
+    return RosenbrockSystem(P, a_grid, e_grid, b_grid, c_grid)
 
 
 def rep_spec_matrix(spec):

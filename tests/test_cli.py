@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from rosepen import cli, equivalence, fiedler
+from rosepen import cli, eigen, equivalence, fiedler, system
+from rosepen import io as rio
 from rosepen.cli import main
 
 DESK1_JSON = {
@@ -116,6 +117,32 @@ def test_zeros_non_minimal_spec_flagged(tmp_path, capsys):
     assert "invariant zeros" in doc["note"]
 
 
+@pytest.mark.parametrize("backend", ["exact", "numeric"])
+def test_zeros_spec_realizes_once_and_tests_minimality_once(
+    tmp_path, capsys, monkeypatch, backend
+):
+    calls = {"realize": 0, "decoupling_zeros": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    realize = system.realize
+    for mod in (system, eigen, cli):
+        if getattr(mod, "realize", None) is realize:
+            monkeypatch.setattr(mod, "realize", counting("realize", realize))
+    monkeypatch.setattr(
+        system, "decoupling_zeros", counting("decoupling_zeros", system.decoupling_zeros)
+    )
+    path = write(tmp_path, "spec.json", EXNOEVL_SPEC_JSON)
+    code, out, _ = run(capsys, "zeros", "--input", path, "--backend", backend)
+    assert code == 0 and json.loads(out)["minimal"] is True
+    assert calls == {"realize": 1, "decoupling_zeros": 1}
+
+
 def test_zeros_singular_e_exit_code(tmp_path, capsys):
     doc = {
         "P": [[[0, 1]]],
@@ -201,6 +228,25 @@ def test_verify_corrupted_pencil_exits_6(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["all_passed"] is False
     assert doc["results"][0]["residual_zero"] is False
+
+
+def test_verify_pencil_is_decoded_once(tmp_path, capsys, monkeypatch):
+    desk1 = write(tmp_path, "desk1.json", DESK1_JSON)
+    pencil = json.loads(run(capsys, "build", "--input", desk1, "--sigma", "1,0")[1])
+    ppath = write(tmp_path, "pencil.json", pencil)
+    calls = []
+    decode_pencil = rio.decode_pencil
+
+    def counting_decode(*args, **kwargs):
+        calls.append(args)
+        return decode_pencil(*args, **kwargs)
+
+    monkeypatch.setattr(rio, "decode_pencil", counting_decode)
+    code, out, _ = run(
+        capsys, "verify", "--input", desk1, "--sigma", "1,0", "--pencil", ppath
+    )
+    assert code == 0 and json.loads(out)["all_passed"] is True
+    assert len(calls) == 1
 
 
 def test_verify_respects_max_m_env(tmp_path, capsys, monkeypatch):

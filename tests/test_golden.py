@@ -48,8 +48,30 @@ SPECS = {
     "zr112": (1, 1, 2, 122),
     "zr221": (2, 2, 1, 425),
 }
-# seeds picked so that every exact zero is rational
-ZEROS_INPUTS = ("z112", "z103", "z212", "z122", "zr112", "zr221")
+# hand-written REP specs: "nonmin" realizes to a non-minimal system (two
+# terms on the pole 1); "dropz" has a zero-matrix term that realize drops
+# with a warning, m = 2 and G = lam (lam - 2)(lam + 1) / (lam - 1)
+HAND_SPECS = {
+    "nonmin": {
+        "P": [[[0, 1]]],
+        "terms": [
+            {"num": [1], "den": [-1, 1], "matrix": [[1]]},
+            {"num": [2], "den": [-1, 1], "matrix": [[1]]},
+        ],
+    },
+    "dropz": {
+        "P": [[[-2, 0, 1]]],
+        "terms": [
+            {"num": [-2], "den": [-1, 1], "matrix": [[1]]},
+            {"num": [1], "den": [-3, 1], "matrix": [[0]]},
+        ],
+    },
+}
+# inputs (seeds picked, or written by hand) whose exact zeros are all rational
+ZEROS_INPUTS = ("z112", "z103", "z212", "z122", "zr112", "zr221", "dropz")
+# --sigma is checked against the degree of the realized spec: zr112
+# realizes with m = 1, so "0,1" is rejected there and accepted on dropz
+ZEROS_SIGMA = (("zr112", "0,1"), ("dropz", "0,1"))
 
 DESK1 = {"P": [[[0, 0, 1]]], "A": [[1]], "E": [[1]], "B": [[1]], "C": [[1]]}
 
@@ -78,6 +100,7 @@ def inputs():
         docs[name] = rio.encode_system(rand_system(random.Random(seed), n, r, m))
     for name, (n, terms, deg, seed) in SPECS.items():
         docs[name] = rio.encode_rep_spec(rand_rep_spec(random.Random(seed), n, terms, deg))
+    docs.update(HAND_SPECS)
     for name in ("s212", "s223", "r221"):
         docs[name + "q"] = _rationalise(docs[name], len(name))
     return docs
@@ -88,7 +111,7 @@ def cases():
     out = []
     for name in inputs():
         base = name.rstrip("q")
-        if base in SPECS:
+        if base in SPECS or name in HAND_SPECS:
             out.append((f"realize-{name}", name, ["realize"]))
         else:
             m = 2 if name == "desk1" else SYSTEMS[base][2]
@@ -100,6 +123,8 @@ def cases():
             out.append((f"verify-all-{name}", name, ["verify", "--all"]))
         if name in ZEROS_INPUTS:
             out.append((f"zeros-{name}", name, ["zeros"]))
+    for name, sigma in ZEROS_SIGMA:
+        out.append((f"zeros-sigma-{name}", name, ["zeros", "--sigma", sigma]))
     return out
 
 

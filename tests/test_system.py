@@ -173,7 +173,7 @@ def test_realize_desk1_spec_exactly():
     )
     sys = realize(spec)
     assert sys == desk1_system()
-    assert sys.minimal is True
+    assert is_minimal(sys).minimal is True
 
 
 def test_realize_exnoevl_rank_one_factorization():
@@ -225,7 +225,7 @@ def test_minimal_realization_state_size_is_pole_degree():
     for _ in range(20):
         spec = rand_rep_spec(rng, rng.randint(1, 2), rng.randint(1, 3))
         sys = realize(spec)
-        if not sys.minimal:
+        if not is_minimal(sys).minimal:
             continue
         _, psi = zero_pole_polys(smith_mcmillan(transfer_function(sys)))
         assert sys.r == psi.degree
