@@ -10,7 +10,7 @@ package: two values coincide when |a - b| <= tol * max(1, |a|, |b|).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, inf, isfinite
+from math import gcd, inf, isfinite, ldexp
 
 from .polymat import EXACT, Poly
 
@@ -134,13 +134,30 @@ def _float_coeffs(p):
 
 
 def numeric_roots(p):
-    """Roots of a polynomial via companion-matrix eigenvalues."""
+    """Roots of a polynomial via companion-matrix eigenvalues.
+
+    An exact polynomial with a coefficient beyond the float range is solved
+    as q(mu) = p(2^k mu) / 2^s: k balances its outer coefficients and s
+    brings the largest to about 1, both exactly; each root is 2^k mu.
+    """
     import numpy as np
 
     if p.degree < 1:
         return []
-    coeffs = [float(c) for c in reversed(p.coeffs)]
-    return [complex(z) for z in np.roots(coeffs)]
+    coeffs = _float_coeffs(p)
+    if coeffs is not None:
+        return [complex(z) for z in np.roots(coeffs[::-1])]
+    log2 = [c.numerator.bit_length() - c.denominator.bit_length() if c else None for c in p.coeffs]
+    low = next(i for i, e in enumerate(log2) if e is not None)
+    k = round((log2[low] - log2[-1]) / (p.degree - low))
+    s = max(e + k * i for i, e in enumerate(log2) if e is not None)
+    scaled = [float(c * Fraction(2) ** (k * i - s)) for i, c in enumerate(p.coeffs)]
+    if scaled[low] == 0 or scaled[-1] == 0:
+        raise OverflowError("the roots spread beyond the float range")
+    return [
+        complex(ldexp(z.real, k), ldexp(z.imag, k))
+        for z in map(complex, np.roots(scaled[::-1]))
+    ]
 
 
 def cluster(values, tol=MATCH_TOL):

@@ -12,7 +12,6 @@ Exit codes: 0 success, 2 parse/validation error, 3 invalid sigma,
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys as _sys
@@ -23,7 +22,7 @@ from . import io as rio
 from ._linalg import EXACT, FLOAT
 from .eigen import classify_zeros, pencil_determinant, solve_rep
 from .equivalence import CertificateError, build_certificate
-from .fiedler import Bijection, ciss, pencil_direct
+from .fiedler import Bijection, ciss, pencil_algorithm1, pencil_direct
 from .polymat import poly_matrix_det, smith_form
 from .system import SingularStateError, assemble_system_matrix, is_minimal, realize
 
@@ -136,10 +135,14 @@ def _system_det(sys):
 
 def _verify_payload(sys, order, pencil):
     """One certificate check of the decoded system `sys` on `pencil`, or
-    on the Fiedler pencil of `order` when `pencil` is None."""
+    on the Fiedler pencil of `order`, spliced by Algorithm 1 (m >= 2 here),
+    when `pencil` is None.  The certificate compares each chain step with
+    the intermediate pencil it must equal."""
+    import hashlib  # only verify hashes: other commands skip loading OpenSSL
+
     sigma = Bijection(tuple(order))
     if pencil is None:
-        pencil = pencil_direct(sys, sigma)
+        pencil = pencil_algorithm1(sys, sigma)
     digest = hashlib.sha256(
         rio.dumps(rio.encode_pencil(pencil)).encode()
     ).hexdigest()

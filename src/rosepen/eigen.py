@@ -206,14 +206,26 @@ def _index_for_value(polys, value, tol=MATCH_TOL):
         if isinstance(value, Fraction):
             out.append(_root_multiplicity(p, value))
             continue
-        best_k, best_val = 0, None
-        for factor, k in square_free_decomposition(p):
-            mag = abs(factor(complex(value)))
-            if best_val is None or mag < best_val:
-                best_val, best_k = mag, k
-        scale = max(1.0, abs(complex(value))) ** p.degree
-        out.append(best_k if best_val is not None and best_val <= 1e-6 * scale else 0)
+        factors = square_free_decomposition(p)
+        try:
+            mags = [abs(factor(complex(value))) for factor, _ in factors]
+            bound = 1e-6 * max(1.0, abs(complex(value))) ** p.degree
+        except OverflowError:
+            # beyond the float range: the same test on squares, exactly
+            x, y = Fraction(value.real), Fraction(value.imag)
+            mags = [_abs2_at(factor, x, y) for factor, _ in factors]
+            bound = Fraction(1e-6) ** 2 * max(1, x * x + y * y) ** p.degree
+        best = min(range(len(factors)), key=mags.__getitem__)
+        out.append(factors[best][1] if mags[best] <= bound else 0)
     return tuple(out)
+
+
+def _abs2_at(p, x, y):
+    """|p(x + iy)|^2 in exact arithmetic."""
+    re = im = Fraction(0)
+    for c in reversed(p.coeffs):
+        re, im = re * x - im * y + c, re * y + im * x
+    return re * re + im * im
 
 
 def _is_pole_value(value, pole_poly, pole_roots, tol):

@@ -12,7 +12,9 @@ Only the pencil depends on sigma beyond its consecution pattern.  The
 pieces that do not (the step pairs, the factor matrices, the intermediate
 pencils, U and V, and the target) are built once per system and shared by
 every sigma of a sweep; each sigma still multiplies its own pencil through
-the chain, compares every step and forms its own residual.
+the chain, compares every step with the intermediate pencil it must equal
+and forms its own residual.  The pencil itself, when not given, is spliced
+by Algorithm 1 (`pencil_algorithm1`), with no factor product.
 
 Everything here is exact-mode only: the certificate is a proof artifact and
 float residuals prove nothing.
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from ._linalg import EXACT
-from .fiedler import _factor_grids, pencil_direct
+from .fiedler import _factor_grid, pencil_algorithm1
 from .polymat import Poly, PolyMatrix, horner_shift, poly_matrix_det
 from .system import assemble_system_matrix
 
@@ -95,6 +97,7 @@ def _poly_core(sys, kind, i):
     lam = Poly.lam(mode)
     entries = _block_entries(n, m, mode)
     eye = _eye_block(n, mode)
+    lam_eye = [[lam if a == b else Poly.zero(mode) for b in range(n)] for a in range(n)]
 
     if kind == "D":
         if not 1 <= i <= m:
@@ -116,7 +119,6 @@ def _poly_core(sys, kind, i):
             _set_block(entries, n, bk, bk, eye)
 
     if kind == "Q":
-        lam_eye = [[lam if a == b else Poly.zero(mode) for b in range(n)] for a in range(n)]
         _set_block(entries, n, i, i, eye)
         _set_block(entries, n, i + 1, i + 1, eye)
         _set_block(entries, n, i, i + 1, lam_eye)
@@ -131,7 +133,6 @@ def _poly_core(sys, kind, i):
 
     if kind == "T":
         shift = horner_shift(sys.P, i - 1)
-        lam_eye = [[lam if a == b else Poly.zero(mode) for b in range(n)] for a in range(n)]
         for bk in range(1, m + 1):
             if bk not in (i, i + 1):
                 _set_block(entries, n, bk, bk, [[Poly.zero(mode)] * n for _ in range(n)])
@@ -165,19 +166,14 @@ def aux_matrix(sys, kind, i):
     """Auxiliary system polynomial: Q and R get an I_r state block, T gets
     0_r and D gets -E.  D_1 coincides with the leading Fiedler factor."""
     _require_exact(sys)
-    n, r, m = sys.n, sys.r, sys.m
-    mode = sys.mode
+    r, mode = sys.r, sys.mode
     core = _poly_core(sys, kind, i)
     if kind in ("Q", "R"):
-        corner = _eye_block(r, mode) if r else ()
+        corner = _eye_block(r, mode)
     elif kind == "T":
-        corner = [[Poly.zero(mode)] * r for _ in range(r)] if r else ()
+        corner = [[Poly.zero(mode)] * r for _ in range(r)]
     else:
-        corner = (
-            [[Poly.constant(-sys.E[a][b], mode) for b in range(r)] for a in range(r)]
-            if r
-            else ()
-        )
+        corner = [[Poly.constant(-sys.E[a][b], mode) for b in range(r)] for a in range(r)]
     return AuxMatrix(kind, i, _append_state_block(core, sys, corner))
 
 
@@ -238,7 +234,7 @@ class _SystemPieces:
         sys = self.sys
         return self._get(
             ("factor", i),
-            lambda: PolyMatrix.from_scalar_grid(_factor_grids(sys)[i], sys.mode),
+            lambda: PolyMatrix.from_scalar_grid(_factor_grid(sys, i), sys.mode),
         )
 
     def step(self, i, consecution):
@@ -398,12 +394,13 @@ def build_certificate(sys, sigma, pencil=None):
     """Construct and verify the equivalence certificate for one bijection.
 
     The consecution/inversion pattern selects Q- or R-type factors for each
-    of the m-1 steps; each intermediate product is compared against the
-    closed-form intermediate pencil, and the final product against
-    diag(-I_{(m-1)n}, S(lam)).  Any mismatch raises CertificateError with
-    the first differing entry; a forged pencil is never silently accepted.
-    The sigma-independent pieces come from the per-system memo; every
-    product that involves the pencil is computed here, for this call.
+    of the m-1 steps; each intermediate product must equal the closed-form
+    intermediate pencil, and U * pencil * V - diag(-I_{(m-1)n}, S(lam))
+    must vanish.  A mismatch raises CertificateError with the first
+    differing entry (a step's difference is formed only then); a forged
+    pencil is never silently accepted.  `pencil` defaults to the spliced
+    pencil of sigma.  The sigma-independent pieces come from the per-system
+    memo; every product that involves the pencil is computed per call.
     """
     _require_exact(sys)
     m = sys.m
@@ -412,7 +409,7 @@ def build_certificate(sys, sigma, pencil=None):
     if sigma.m != m:
         raise ValueError("bijection length does not match the system degree")
     if pencil is None:
-        pencil = pencil_direct(sys, sigma)
+        pencil = pencil_algorithm1(sys, sigma)
     pieces = _pieces(sys)
     x0 = pencil.as_poly_matrix()
 
@@ -421,9 +418,9 @@ def build_certificate(sys, sigma, pencil=None):
     x = x0
     for i, (left, right) in enumerate(steps, start=1):
         x = left.matrix * x * right.matrix
-        diff = x - pieces.pencil(sigma, i + 1)
-        if not diff.is_zero_matrix():
-            pos = _first_nonzero(diff)
+        expected = pieces.pencil(sigma, i + 1)
+        if x != expected:
+            pos = _first_nonzero(x - expected)
             raise CertificateError(
                 f"step {i} product deviates from the intermediate pencil "
                 f"at entry {pos[:2]}: {pos[2]!r}",
@@ -456,13 +453,10 @@ def build_certificate(sys, sigma, pencil=None):
 
 
 def _is_identity_on_state_block(matrix, n, r, m):
+    one, zero = Poly.one(matrix.mode), Poly.zero(matrix.mode)
     for a in range(r):
         for b in range(r):
-            e = matrix.entries[n * m + a][n * m + b]
-            want_one = a == b
-            if want_one and e != Poly.one(matrix.mode):
-                return False
-            if not want_one and not e.is_zero:
+            if matrix.entries[n * m + a][n * m + b] != (one if a == b else zero):
                 return False
     for a in range(n * m):
         for k in range(r):
@@ -485,11 +479,5 @@ def verify_rosenbrock_linearization(sys, sigma, pencil=None):
         return False
     if not _is_identity_on_state_block(cert.V, n, r, m):
         return False
-    det_u = poly_matrix_det(cert.U)
-    det_v = poly_matrix_det(cert.V)
-    return (
-        det_u.degree == 0
-        and not det_u.is_zero
-        and det_v.degree == 0
-        and not det_v.is_zero
-    )
+    # a nonzero constant determinant: the zero polynomial has degree -1
+    return poly_matrix_det(cert.U).degree == 0 and poly_matrix_det(cert.V).degree == 0

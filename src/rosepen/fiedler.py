@@ -293,11 +293,6 @@ class SystemPencil:
             ]
         )
 
-    def eval(self, lam0):
-        return _linalg.add(
-            _linalg.scale(self.lead, lam0), self.const_term
-        )
-
     def __eq__(self, other):
         return (
             isinstance(other, SystemPencil)
@@ -317,32 +312,35 @@ def _metadata(sigma):
 
 @lru_cache(maxsize=1)
 def _exact_factor_grids(sys):
-    return tuple(make_factor(sys, i).matrix for i in range(sys.m + 1))
+    """index -> grid of M_index for the current exact system, filled on use."""
+    return {}
 
 
-def _factor_grids(sys):
-    """The grids of M_0, ..., M_m.
+def _factor_grid(sys, i):
+    """The grid of M_i.
 
-    In exact mode they are memoised for the current system, which every
-    sigma of a `verify` sweep shares; maxsize=1 holds only that system.
-    Float mode builds them afresh, because -0.0 == 0.0 makes two systems
-    with different factors compare equal.
+    In exact mode it is memoised per index for the current system, which
+    every sigma of a `verify` sweep shares; maxsize=1 holds only that
+    system.  Float mode builds it afresh, because -0.0 == 0.0 makes two
+    systems with different factors compare equal.
     """
-    if sys.mode == _linalg.EXACT:
-        return _exact_factor_grids(sys)
-    return tuple(make_factor(sys, i).matrix for i in range(sys.m + 1))
+    if sys.mode != _linalg.EXACT:
+        return make_factor(sys, i).matrix
+    grids = _exact_factor_grids(sys)
+    if i not in grids:
+        grids[i] = make_factor(sys, i).matrix
+    return grids[i]
 
 
 def pencil_direct(sys, sigma):
     """lam*M_m - M_{sigma^{-1}(1)} ... M_{sigma^{-1}(m)} by plain product."""
     if sigma.m != sys.m:
         raise ValueError("bijection length does not match the system degree")
-    grids = _factor_grids(sys)
     prod = None
     for i in sigma.inverse_order:
-        f = grids[i]
+        f = _factor_grid(sys, i)
         prod = f if prod is None else _linalg.mul(prod, f)
-    lead = grids[sys.m]
+    lead = _factor_grid(sys, sys.m)
     b_row, c_col = _metadata(sigma)
     return SystemPencil(
         lead=lead,
@@ -360,7 +358,8 @@ def pencil_algorithm1(sys, sigma):
 
     Starts from the 2x2-block seed fixed by the consecution/inversion at 0
     and grows one block row/column per step; the result must match
-    pencil_direct exactly.
+    pencil_direct exactly.  Only the lead M_m is a factor grid, read
+    through `_factor_grid`.
     """
     if sys.m < 2:
         raise ValueError("the splicing construction needs degree m >= 2")
@@ -413,7 +412,7 @@ def pencil_algorithm1(sys, sigma):
             w = [[first_col[bi]] + rest[bi] for bi in range(old + 1)]
 
     prod = _linalg.from_blocks(w)
-    lead = make_factor(sys, m).matrix
+    lead = _factor_grid(sys, m)
     b_row, c_col = _metadata(sigma)
     return SystemPencil(
         lead=lead,
@@ -483,7 +482,6 @@ def second_companion(sys):
 
 def _border_structure_ok(grid, n, r, m, row_block, col_block):
     """Verify the single e_i (x) X column / e_j^T (x) Y row shape."""
-    size = n * m + r
     for bi in range(1, m + 1):
         if bi == col_block:
             continue

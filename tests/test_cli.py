@@ -1,12 +1,19 @@
 """End-to-end command line behavior: schemas, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys as _sys
+from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from rosepen import cli, eigen, equivalence, fiedler, system
 from rosepen import io as rio
 from rosepen.cli import main
+from rosepen.polymat import poly_matrix_det
+from rosepen.system import assemble_system_matrix
 
 DESK1_JSON = {
     "P": [[[0, 0, 1]]],
@@ -379,6 +386,86 @@ def test_verify_memos_hold_no_stale_system(tmp_path, capsys):
     assert all(code == 0 for code, _, _ in fresh)
 
 
+class _SerialPool:
+    """A ProcessPoolExecutor stand-in that maps in this process."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return list(map(fn, items))
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_verify_all_splices_every_pencil(tmp_path, capsys, monkeypatch, jobs):
+    import concurrent.futures
+
+    calls = {"pencil_direct": 0, "pencil_algorithm1": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        fn = getattr(fiedler, name)
+        for mod in (fiedler, cli, eigen, equivalence):
+            if getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, counting(name, fn))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    _clear_memos()
+    doc = {"P": [[[1, 2, 0, 1, 1]]], "A": [[3]], "E": [[1]], "B": [[2]], "C": [[1]]}
+    path = write(tmp_path, "sys.json", doc)
+    code, out, _ = run(capsys, "verify", "--input", path, "--all", "--jobs", jobs)
+    assert code == 0 and len(json.loads(out)["results"]) == 24
+    assert calls == {"pencil_direct": 0, "pencil_algorithm1": 24}
+
+
+def test_zeros_spec_builds_one_factor(tmp_path, capsys, monkeypatch):
+    # the splice needs only the lead M_m, so the factor memo must not
+    # build all m + 1 factors for it
+    built = []
+    make_factor = fiedler.make_factor
+
+    def counting_factor(sys, i):
+        built.append(i)
+        return make_factor(sys, i)
+
+    monkeypatch.setattr(fiedler, "make_factor", counting_factor)
+    _clear_memos()
+    spec = {"P": [[[-2, 0, 1]]], "terms": [{"num": [-2], "den": [-1, 1], "matrix": [[1]]}]}
+    code, _, _ = run(capsys, "zeros", "--input", write(tmp_path, "spec.json", spec))
+    assert code == 0 and built == [2]
+
+
+def test_zeros_does_not_load_hashlib(tmp_path):
+    # only verify hashes; an exact zeros run has no use for OpenSSL
+    path = write(tmp_path, "spec.json", EXNOEVL_SPEC_JSON)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    script = (
+        "import sys; from rosepen.cli import main; "
+        f"code = main(['zeros', '--input', {path!r}]); "
+        "print(code, '_hashlib' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [_sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout.splitlines()[-1] == "0 False"
+
+
 def test_verify_forged_pencil_after_a_passing_sweep(tmp_path, capsys):
     path = write(tmp_path, "desk1.json", DESK1_JSON)
     _clear_memos()
@@ -425,6 +512,25 @@ def test_numeric_backend_on_exact_numbers_beyond_float_range(tmp_path, capsys):
     assert code == 2 and err.startswith("rosepen:") and "float range" in err
     # the exact pencil itself is fine
     assert run(capsys, "build", "--input", path)[0] == 0
+
+
+def test_exact_zeros_beyond_float_range(tmp_path, capsys):
+    # det S = lam^3 - lam^2 - 10**400: no rational root, and its companion
+    # coefficients are beyond binary64 while its roots are not
+    doc = dict(DESK1_JSON, C=[[10**400]])
+    code, out, _ = run(capsys, "zeros", "--input", write(tmp_path, "big.json", doc))
+    assert code == 0
+    det = poly_matrix_det(assemble_system_matrix(rio.decode_system(doc)))
+    zeros = [complex(z["value"]["re"], z["value"]["im"]) for z in json.loads(out)["zeros"]]
+    assert len(zeros) == det.degree == 3
+    for z in zeros:
+        # |det(z)| against the size of its terms, in exact arithmetic
+        x, y = F(z.real), F(z.imag)
+        re = im = F(0)
+        for c in reversed(det.coeffs):
+            re, im = re * x - im * y + c, re * y + im * x
+        size = sum(abs(c) * F(abs(z)) ** k for k, c in enumerate(det.coeffs))
+        assert re * re + im * im <= (F(1e-12) * size) ** 2
 
 
 # --- ciss / smith / realize -------------------------------------------------------

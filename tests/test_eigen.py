@@ -28,7 +28,7 @@ from rosepen.eigen import (
     solve_gep,
     solve_rep,
 )
-from rosepen._roots import rational_roots
+from rosepen._roots import numeric_roots, rational_roots
 from rosepen.fiedler import Bijection, SystemPencil, first_companion, pencil_direct
 from rosepen.io import decode_system
 from rosepen.polymat import (
@@ -132,6 +132,17 @@ def test_rational_roots_with_coefficients_beyond_float_range():
     assert rational_roots(huge) == ([], huge)
     roots, rest = rational_roots(Poly([-2, 1]) * huge)
     assert roots == [(F(2), 1)] and rest == huge
+
+
+def test_numeric_roots_rescale_coefficients_beyond_float_range():
+    # lam^2 - 2 * 10**400 has the roots +-sqrt(2) * 10**200
+    roots = sorted(numeric_roots(Poly([-2 * 10**400, 0, 1])), key=lambda z: z.real)
+    assert len(roots) == 2
+    for got, want in zip(roots, (-(2**0.5) * 1e200, 2**0.5 * 1e200)):
+        assert abs(got - want) <= 1e-14 * abs(want)
+    # roots near 1e-400 and 1e400 cannot both be floats: no silent drop
+    with pytest.raises(OverflowError):
+        numeric_roots(Poly([1, 10**400, 1]))
 
 
 # --- eig_eip_split ----------------------------------------------------------------

@@ -24,6 +24,7 @@ import pytest
 from _helpers import rand_rep_spec, rand_system
 from rosepen import io as rio
 from rosepen.cli import main
+from rosepen.fiedler import Bijection, pencil_direct
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
 
@@ -75,6 +76,14 @@ ZEROS_SIGMA = (("zr112", "0,1"), ("dropz", "0,1"))
 
 DESK1 = {"P": [[[0, 0, 1]]], "A": [[1]], "E": [[1]], "B": [[1]], "C": [[1]]}
 
+# verify --pencil: (case id, system, --sigma, product order of the pencil,
+# constant entry to forge or None); "forged" is the sigma's own pencil with
+# one entry changed, "other" is the untouched pencil of another sigma
+PENCIL_CASES = (
+    ("verify-pencil-forged-s113", "s113", "1,0,2", (1, 0, 2), (0, 1)),
+    ("verify-pencil-other-s114", "s114", "1,0,2,3", (2, 0, 1, 3), None),
+)
+
 
 def _rationalise(doc, seed):
     """Turn about a third of the nonzero integer scalars into p/q strings."""
@@ -109,7 +118,8 @@ def inputs():
 def cases():
     """(case id, input name, argv after --input) for every recorded run."""
     out = []
-    for name in inputs():
+    docs = inputs()
+    for name in docs:
         base = name.rstrip("q")
         if base in SPECS or name in HAND_SPECS:
             out.append((f"realize-{name}", name, ["realize"]))
@@ -125,13 +135,36 @@ def cases():
             out.append((f"zeros-{name}", name, ["zeros"]))
     for name, sigma in ZEROS_SIGMA:
         out.append((f"zeros-sigma-{name}", name, ["zeros", "--sigma", sigma]))
+    for case_id, name, sigma, order, forged in PENCIL_CASES:
+        pencil = _pencil_doc(docs[name], order, forged)
+        out.append((case_id, name, ["verify", "--sigma", sigma, "--pencil", pencil]))
     return out
 
 
+def _pencil_doc(system_doc, order, forged):
+    """The product-route pencil of `order` on the system, as JSON, with the
+    constant entry at `forged` (if any) increased by one."""
+    sys = rio.decode_system(system_doc)
+    doc = rio.encode_pencil(pencil_direct(sys, Bijection(order)))
+    if forged is not None:
+        i, j = forged
+        doc["const_term"][i][j] = rio.encode_scalar(
+            rio.decode_scalar(doc["const_term"][i][j]) + 1
+        )
+    return doc
+
+
 def run_case(tmp_dir, doc, argv):
-    """Exit code and the sha256 of stdout of one CLI run on `doc`."""
+    """Exit code and the sha256 of stdout of one CLI run on `doc`.  A dict
+    in `argv` is a further JSON document, passed by the path it is written to."""
     path = Path(tmp_dir) / "input.json"
     path.write_text(json.dumps(doc))
+    argv = list(argv)
+    for k, arg in enumerate(argv):
+        if isinstance(arg, dict):
+            extra = Path(tmp_dir) / f"arg{k}.json"
+            extra.write_text(json.dumps(arg))
+            argv[k] = str(extra)
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code = main([argv[0], "--input", str(path), *argv[1:]])
