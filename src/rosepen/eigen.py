@@ -191,7 +191,7 @@ class ZeroReport:
     note: str = ""
 
 
-def _index_for_value(polys, value, tol=MATCH_TOL):
+def _index_for_value(polys, value):
     """Multiplicity of `value` as a root of each polynomial in order.
 
     Rational points are decided by exact division; other points are located
@@ -248,6 +248,9 @@ def classify_zeros(sys, sigma=None, backend="exact", pencil=None, tol=MATCH_TOL)
     system still gets a report, flagged minimal=False: its pencil
     eigenvalues are then invariant zeros of the realization, not
     necessarily zeros of the transfer function.
+
+    `tol` reaches root clustering and zero-pole matching only; multiplicity
+    indices locate a numeric zero with a fixed 1e-6 relative cut.
     """
     if not sys.e_is_nonsingular():
         raise SingularStateError("E is singular")
@@ -300,9 +303,9 @@ def classify_zeros(sys, sigma=None, backend="exact", pencil=None, tol=MATCH_TOL)
         zeros = []
         for value, _mult in gep.eigenvalues:
             is_pole = _is_pole_value(value, state_det, pole_roots, tol)
-            ind_phi = _index_for_value(sm.numerators, value, tol)
+            ind_phi = _index_for_value(sm.numerators, value)
             ind_psi = (
-                _index_for_value(tuple(reversed(sm.denominators)), value, tol)
+                _index_for_value(tuple(reversed(sm.denominators)), value)
                 if is_pole
                 else None
             )
@@ -321,7 +324,7 @@ def classify_zeros(sys, sigma=None, backend="exact", pencil=None, tol=MATCH_TOL)
                     PoleEntry(
                         value=value,
                         ind_psi=_index_for_value(
-                            tuple(reversed(sm.denominators)), value, tol
+                            tuple(reversed(sm.denominators)), value
                         ),
                     )
                 )

@@ -11,10 +11,11 @@ pencil is a trimmed structured linearization of the system matrix.
 Only the pencil depends on sigma beyond its consecution pattern.  The
 pieces that do not (the step pairs, the factor matrices, the intermediate
 pencils, U and V, and the target) are built once per system and shared by
-every sigma of a sweep; each sigma still multiplies its own pencil through
-the chain, compares every step with the intermediate pencil it must equal
-and forms its own residual.  The pencil itself, when not given, is spliced
-by Algorithm 1 (`pencil_algorithm1`), with no factor product.
+every sigma of a sweep; each sigma multiplies its own pencil through the
+chain once, compares every step with the intermediate pencil it must equal
+and takes the last product, U * pencil * V by associativity, minus the
+target as its residual.  The pencil, when not given, is spliced by
+Algorithm 1 (`pencil_algorithm1`), with no factor product.
 
 Everything here is exact-mode only: the certificate is a proof artifact and
 float residuals prove nothing.
@@ -23,7 +24,7 @@ float residuals prove nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from ._linalg import EXACT
 from .fiedler import _factor_grid, pencil_algorithm1
@@ -260,13 +261,8 @@ class _SystemPieces:
 
         def build():
             steps = [self.step(i, c) for i, c in enumerate(flags, start=1)]
-            u = None
-            for left, _ in reversed(steps):
-                u = left.matrix if u is None else u * left.matrix
-            v = None
-            for _, right in steps:
-                v = right.matrix if v is None else v * right.matrix
-            return u, v
+            u = reduce(PolyMatrix.__mul__, [left.matrix for left, _ in reversed(steps)])
+            return u, reduce(PolyMatrix.__mul__, [right.matrix for _, right in steps])
 
         return self._get(("transforms", flags), build)
 
@@ -335,10 +331,7 @@ def intermediate_pencil(sys, sigma, j):
         raise ValueError(f"intermediate index {j} out of range 1..{m}")
     pieces = _pieces(sys)
     kept = [i for i in sigma.inverse_order if i <= m - j]
-    prod = None
-    for i in kept:
-        f = pieces.factor(i)
-        prod = f if prod is None else prod * f
+    prod = reduce(PolyMatrix.__mul__, [pieces.factor(i) for i in kept])
     return pieces.aux("D", j).matrix.scale(Poly.lam()) - prod
 
 
@@ -395,12 +388,13 @@ def build_certificate(sys, sigma, pencil=None):
 
     The consecution/inversion pattern selects Q- or R-type factors for each
     of the m-1 steps; each intermediate product must equal the closed-form
-    intermediate pencil, and U * pencil * V - diag(-I_{(m-1)n}, S(lam))
-    must vanish.  A mismatch raises CertificateError with the first
-    differing entry (a step's difference is formed only then); a forged
-    pencil is never silently accepted.  `pencil` defaults to the spliced
-    pencil of sigma.  The sigma-independent pieces come from the per-system
-    memo; every product that involves the pencil is computed per call.
+    intermediate pencil, and the residual, the last product
+    L_{m-1}...L_1 * pencil * R_1...R_{m-1} = U * pencil * V minus
+    diag(-I_{(m-1)n}, S(lam)), must vanish.  A mismatch raises
+    CertificateError with the first differing entry (a step's difference is
+    formed only then); a forged pencil is never silently accepted.  `pencil`
+    defaults to the spliced pencil of sigma.  The sigma-independent pieces
+    come from the per-system memo; the products with the pencil are per call.
     """
     _require_exact(sys)
     m = sys.m
@@ -411,11 +405,10 @@ def build_certificate(sys, sigma, pencil=None):
     if pencil is None:
         pencil = pencil_algorithm1(sys, sigma)
     pieces = _pieces(sys)
-    x0 = pencil.as_poly_matrix()
 
     flags = tuple(sigma.has_consecution_at(m - i - 1) for i in range(1, m))
     steps = [pieces.step(i, c) for i, c in enumerate(flags, start=1)]
-    x = x0
+    x = pencil.as_poly_matrix()
     for i, (left, right) in enumerate(steps, start=1):
         x = left.matrix * x * right.matrix
         expected = pieces.pencil(sigma, i + 1)
@@ -429,7 +422,7 @@ def build_certificate(sys, sigma, pencil=None):
 
     u, v = pieces.transforms(flags)
     target = pieces.target()
-    residual = u * x0 * v - target
+    residual = x - target
     cert = EquivalenceCertificate(
         U=u,
         V=v,

@@ -262,7 +262,8 @@ class SystemPencil:
     const_term is the negated factor product, so the stored pencil equals
     lam*M_m - M_sigma; blocks 1..m have size n and block m+1 size r.
     b_row_block / c_col_block give the 1-based block positions of the
-    single B-row and C-column inside the polynomial part.
+    single B-row and C-column inside the polynomial part; equality and hash
+    ignore them.
     """
 
     lead: tuple
@@ -300,6 +301,9 @@ class SystemPencil:
             and _linalg.eq(self.lead, other.lead)
             and _linalg.eq(self.const_term, other.const_term)
         )
+
+    def __hash__(self):
+        return hash((self.n, self.r, self.m, self.lead, self.const_term))
 
 
 def _metadata(sigma):

@@ -249,7 +249,7 @@ def _output_pencil(sys):
     return PolyMatrix(rows)
 
 
-def decoupling_zeros(sys, tol=_roots.MATCH_TOL):
+def decoupling_zeros(sys):
     """Input and output decoupling zeros of the system.
 
     Exact mode works with the Smith forms of [A - lam*E, B] and

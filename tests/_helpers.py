@@ -1,7 +1,12 @@
 """Shared fixtures-in-code for the test suite: desk examples, random system
-generators, and independent determinant oracles."""
+generators (plain and hypothesis), and independent determinant and
+certificate-residual oracles."""
 
 from __future__ import annotations
+
+from fractions import Fraction
+
+from hypothesis import strategies as st
 
 from rosepen import _linalg
 from rosepen.polymat import Poly, PolyMatrix, RationalFn, RationalMatrix
@@ -257,3 +262,28 @@ def assert_value_sets_close(got, expected, tol):
 
 def grid_int(grid):
     return [[int(x) for x in row] for row in grid]
+
+
+_SCALAR = st.integers(-3, 3) | st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5))
+
+
+@st.composite
+def exact_systems(draw):
+    """Exact systems with integer and p/q entries, n <= 2, r <= 2, m = 2..4."""
+    n, r, m = draw(st.integers(1, 2)), draw(st.integers(0, 2)), draw(st.integers(2, 4))
+
+    def grid(h, w):
+        return [[draw(_SCALAR) for _ in range(w)] for _ in range(h)]
+
+    grids = [grid(n, n) for _ in range(m + 1)]
+    if not any(any(row) for row in grids[m]):
+        grids[m][0][0] = 1
+    P = PolyMatrix.from_coefficient_grids(grids)
+    if r == 0:
+        return RosenbrockSystem(P)
+    return RosenbrockSystem(P, grid(r, r), grid(r, r), grid(r, n), grid(n, r))
+
+
+def certificate_residual(cert, pencil):
+    """U * pencil * V - target, the residual formed by a second product."""
+    return cert.U * pencil.as_poly_matrix() * cert.V - cert.target

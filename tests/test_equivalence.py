@@ -6,9 +6,11 @@ from fractions import Fraction as F
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
 
-from _helpers import LAM, ONE, desk1_system, rand_system
+from _helpers import LAM, ONE, certificate_residual, desk1_system, exact_systems, rand_system
 from rosepen import _linalg as L
+from rosepen import equivalence
 from rosepen.equivalence import (
     CertificateError,
     aux_block_transpose,
@@ -18,7 +20,13 @@ from rosepen.equivalence import (
     intermediate_pencil,
     verify_rosenbrock_linearization,
 )
-from rosepen.fiedler import Bijection, SystemPencil, make_factor, pencil_direct
+from rosepen.fiedler import (
+    Bijection,
+    SystemPencil,
+    make_factor,
+    pencil_algorithm1,
+    pencil_direct,
+)
 from rosepen.polymat import Poly, PolyMatrix, poly_matrix_det
 from rosepen.system import assemble_system_matrix
 
@@ -251,3 +259,66 @@ def test_certificate_u_v_identity_on_state_block():
             for b in range(r):
                 want = ONE if a == b else Poly.zero()
                 assert mat.entries[n * m + a][n * m + b] == want
+
+
+# --- the residual comes from the step chain ----------------------------------
+
+def _step_matrix(sys, kind, idx, transposed):
+    aux = aux_matrix(sys, kind, idx)
+    return aux_block_transpose(aux, sys).matrix if transposed else aux.matrix
+
+
+@settings(max_examples=25, deadline=None)
+@given(exact_systems())
+def test_chain_product_is_u_pencil_v(sys):
+    for perm in permutations(range(sys.m)):
+        sigma = Bijection(perm)
+        pencil = pencil_algorithm1(sys, sigma)
+        cert = build_certificate(sys, sigma, pencil=pencil)
+        # x_i = L_i x_{i-1} R_i, the chain build_certificate walks
+        x = pencil.as_poly_matrix()
+        lefts = reversed(cert.u_factors)
+        for left, right in zip(lefts, cert.v_factors):
+            x = _step_matrix(sys, *left) * x * _step_matrix(sys, *right)
+        assert x == cert.U * pencil.as_poly_matrix() * cert.V, perm
+        assert cert.residual == certificate_residual(cert, pencil), perm
+
+
+def test_certificate_multiplies_the_pencil_once(monkeypatch):
+    # m = 4: two products per step, and none for a separate U * pencil * V
+    sys = rand_system(random.Random(191), 1, 1, 4)
+    sigma = Bijection((2, 0, 1, 3))
+    pencil = pencil_algorithm1(sys, sigma)
+    build_certificate(sys, sigma, pencil=pencil)  # warms the per-system memo
+    calls = []
+    mul = PolyMatrix.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(PolyMatrix, "__mul__", counting)
+    cert = build_certificate(sys, sigma, pencil=pencil)
+    assert cert.residual_zero
+    assert len(calls) == 2 * (sys.m - 1)
+
+
+def test_wrong_target_still_fails_the_residual(monkeypatch):
+    sys = rand_system(random.Random(193), 1, 1, 3)
+    target = equivalence._target
+
+    def off_by_one(s):
+        t = target(s)
+        entries = [list(row) for row in t.entries]
+        entries[-1][-1] = entries[-1][-1] + ONE
+        return PolyMatrix(entries)
+
+    monkeypatch.setattr(equivalence, "_target", off_by_one)
+    equivalence._pieces.cache_clear()
+    try:
+        with pytest.raises(CertificateError, match="certificate residual is nonzero") as info:
+            build_certificate(sys, Bijection((1, 0, 2)))
+        size = sys.n * sys.m + sys.r
+        assert info.value.position == (size - 1, size - 1)
+    finally:
+        equivalence._pieces.cache_clear()

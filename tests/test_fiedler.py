@@ -3,19 +3,19 @@ companion forms, block transposition, and pentadiagonal structure."""
 
 import math
 import random
-from fractions import Fraction as F
 from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from _helpers import LAM, ONE, desk1_system, grid_int, rand_grid, rand_system
+from _helpers import exact_systems as _exact_systems
 from rosepen import _linalg as L
 from rosepen import io as rio
 from rosepen.fiedler import (
     Bijection,
     CISS,
+    SystemPencil,
     ciss,
     commutation_check,
     factor_inverse,
@@ -184,26 +184,6 @@ def test_three_constructions_agree_m4_exhaustive():
         assert a == b == c, perm
 
 
-_SCALAR = st.integers(-3, 3) | st.builds(F, st.integers(-9, 9), st.integers(1, 5))
-
-
-@st.composite
-def _exact_systems(draw):
-    """Exact systems with integer and p/q entries, n <= 2, r <= 2, m = 2..4."""
-    n, r, m = draw(st.integers(1, 2)), draw(st.integers(0, 2)), draw(st.integers(2, 4))
-
-    def grid(h, w):
-        return [[draw(_SCALAR) for _ in range(w)] for _ in range(h)]
-
-    grids = [grid(n, n) for _ in range(m + 1)]
-    if not any(any(row) for row in grids[m]):
-        grids[m][0][0] = 1
-    P = PolyMatrix.from_coefficient_grids(grids)
-    if r == 0:
-        return RosenbrockSystem(P)
-    return RosenbrockSystem(P, grid(r, r), grid(r, r), grid(r, n), grid(n, r))
-
-
 @settings(max_examples=40, deadline=None)
 @given(_exact_systems())
 def test_splice_and_product_encode_alike(sys):
@@ -212,6 +192,14 @@ def test_splice_and_product_encode_alike(sys):
         sigma = Bijection(perm)
         spliced = rio.dumps(rio.encode_pencil(pencil_algorithm1(sys, sigma)))
         assert spliced == rio.dumps(rio.encode_pencil(pencil_direct(sys, sigma))), perm
+
+
+def test_pencils_equal_up_to_metadata_hash_alike():
+    # __eq__ ignores b_row_block / c_col_block, so the hash must too
+    p = pencil_direct(rand_system(random.Random(73), 1, 1, 2), Bijection((1, 0)))
+    q = SystemPencil(p.lead, p.const_term, p.n, p.r, p.m, p.b_row_block, p.c_col_block + 1)
+    assert p == q and hash(p) == hash(q)
+    assert len({p, q}) == 1
 
 
 def test_block_formula_metadata_matches_ciss():
