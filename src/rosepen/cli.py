@@ -20,11 +20,22 @@ from itertools import permutations
 
 from . import io as rio
 from ._linalg import EXACT, FLOAT
-from .eigen import classify_zeros, pencil_determinant, solve_rep
-from .equivalence import CertificateError, build_certificate
+from .eigen import classify_zeros, solve_rep
+from .equivalence import CertificateError, build_certificate, det_constant
 from .fiedler import Bijection, ciss, pencil_algorithm1, pencil_direct
 from .polymat import poly_matrix_det, smith_form
 from .system import SingularStateError, assemble_system_matrix, is_minimal, realize
+
+# The pencil hash is a content fingerprint, not a security boundary: the
+# interpreter's own SHA-256 gives the same digest as hashlib's without
+# loading OpenSSL (about 3.5 MB of resident memory) into the process.
+try:
+    from _sha256 import sha256  # CPython through 3.11
+except ImportError:
+    try:
+        from _sha2 import sha256  # CPython 3.12+
+    except ImportError:
+        from hashlib import sha256
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -136,16 +147,16 @@ def _system_det(sys):
 def _verify_payload(sys, order, pencil):
     """One certificate check of the decoded system `sys` on `pencil`, or
     on the Fiedler pencil of `order`, spliced by Algorithm 1 (m >= 2 here),
-    when `pencil` is None.  The certificate compares each chain step with
-    the intermediate pencil it must equal."""
-    import hashlib  # only verify hashes: other commands skip loading OpenSSL
-
+    when `pencil` is None.  Only the pencil's splice, its hash and the
+    certificate's first chain step are per sigma; the later steps, the
+    residual and the step determinants behind c come from the per-system
+    certificate memo, and det S from `_system_det`.  A passing certificate
+    gives det(pencil) = c * det S exactly, so c needs no pencil
+    determinant."""
     sigma = Bijection(tuple(order))
     if pencil is None:
         pencil = pencil_algorithm1(sys, sigma)
-    digest = hashlib.sha256(
-        rio.dumps(rio.encode_pencil(pencil)).encode()
-    ).hexdigest()
+    digest = sha256(rio.dumps(rio.encode_pencil(pencil)).encode()).hexdigest()
     entry = {
         "sigma": list(order),
         "pencil_sha256": digest,
@@ -158,11 +169,10 @@ def _verify_payload(sys, order, pencil):
     except CertificateError as exc:
         entry["error"] = str(exc)
         return entry
-    det_s = _system_det(sys)
-    if not det_s.is_zero:
-        q, rem = divmod(pencil_determinant(pencil), det_s)
-        if rem.is_zero and q.degree == 0:
-            entry["det_constant"] = rio.encode_scalar(q.coefficient(0))
+    if not _system_det(sys).is_zero:
+        c = det_constant(sys, sigma)
+        if c is not None:
+            entry["det_constant"] = rio.encode_scalar(c)
     return entry
 
 
@@ -276,7 +286,10 @@ def cmd_realize(args):
     return EXIT_OK
 
 
+@lru_cache(maxsize=1)
 def _build_parser():
+    """The argument parser, built once per process: `parse_args` leaves it
+    unchanged, so every `main` call can share it."""
     parser = argparse.ArgumentParser(
         prog="rosepen",
         description="Fiedler pencils of Rosenbrock system polynomials: "
@@ -327,8 +340,7 @@ def _build_parser():
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     return args.func(args)
 
 

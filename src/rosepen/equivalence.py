@@ -9,13 +9,18 @@ identity on the r-by-r state block, i.e. a checkable certificate that the
 pencil is a trimmed structured linearization of the system matrix.
 
 Only the pencil depends on sigma beyond its consecution pattern.  The
-pieces that do not (the step pairs, the factor matrices, the intermediate
-pencils, U and V, and the target) are built once per system and shared by
-every sigma of a sweep; each sigma multiplies its own pencil through the
-chain once, compares every step with the intermediate pencil it must equal
-and takes the last product, U * pencil * V by associativity, minus the
-target as its residual.  The pencil, when not given, is spliced by
-Algorithm 1 (`pencil_algorithm1`), with no factor product.
+pieces that do not (the step pairs and their determinants, the factor
+matrices, the intermediate pencils, U and V, and the target) are built once
+per system and shared by every sigma of a sweep.  Each sigma multiplies its
+own pencil through the first step only and compares the product with the
+intermediate pencil it must equal.  Once that holds, every later step's
+input is a memoised intermediate pencil, so the verdict of steps 2..m-1 is
+memoised per factor order kept at step 2, and the residual, the last
+product minus the target, is the same for every sigma and formed once per
+system.  Since U * pencil * V = diag(-I, S(lam)) for a passing pencil,
+det(pencil) = c * det S(lam) with c from the step determinants alone
+(`det_constant`).  The pencil, when not given, is spliced by Algorithm 1
+(`pencil_algorithm1`), with no factor product.
 
 Everything here is exact-mode only: the certificate is a proof artifact and
 float residuals prove nothing.
@@ -24,6 +29,7 @@ float residuals prove nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache, reduce
 
 from ._linalg import EXACT
@@ -41,6 +47,7 @@ __all__ = [
     "aux_relations_check",
     "intermediate_pencil",
     "build_certificate",
+    "det_constant",
     "verify_rosenbrock_linearization",
 ]
 
@@ -250,11 +257,49 @@ class _SystemPieces:
 
         return self._get(("step", i, consecution), build)
 
+    def step_dets(self, i, consecution):
+        """(det left, det right) of step i, each exact by poly_matrix_det."""
+
+        def build():
+            left, right = self.step(i, consecution)
+            return poly_matrix_det(left.matrix), poly_matrix_det(right.matrix)
+
+        return self._get(("step_dets", i, consecution), build)
+
+    def transform_dets(self, flags):
+        """(det U, det V) for the consecution flags of steps 1..m-1, as
+        products of the step determinants."""
+        dets = [self.step_dets(i, c) for i, c in enumerate(flags, start=1)]
+        return (
+            reduce(Poly.__mul__, [left for left, _ in dets]),
+            reduce(Poly.__mul__, [right for _, right in dets]),
+        )
+
     def pencil(self, sigma, j):
         """intermediate_pencil(sys, sigma, j), which depends on sigma only
         through the order of the factors it keeps."""
         kept = tuple(i for i in sigma.inverse_order if i <= self.sys.m - j)
         return self._get(("pencil", kept), lambda: intermediate_pencil(self.sys, sigma, j))
+
+    def chain_tail(self, sigma, flags):
+        """Verdict of steps 2..m-1 once step 1 has produced pencil(sigma, 2):
+        None, or (step, first differing entry) of the first step whose
+        product deviates from its intermediate pencil.  It depends on sigma
+        only through the order of the factors 0..m-2 kept at step 2, which
+        also fixes the flags of steps 2..m-1 (consecutions at 0..m-3)."""
+        kept = tuple(i for i in sigma.inverse_order if i <= self.sys.m - 2)
+
+        def build():
+            x = self.pencil(sigma, 2)
+            for i in range(2, self.sys.m):
+                left, right = self.step(i, flags[i - 1])
+                x = left.matrix * x * right.matrix
+                pos = _deviation(x, self.pencil(sigma, i + 1))
+                if pos is not None:
+                    return i, pos
+            return None
+
+        return self._get(("chain", kept), build)
 
     def transforms(self, flags):
         """(U, V) for the consecution flags of steps 1..m-1."""
@@ -268,6 +313,13 @@ class _SystemPieces:
 
     def target(self):
         return self._get(("target",), lambda: _target(self.sys))
+
+    def residual(self, sigma):
+        """pencil(sigma, m) - target: the last intermediate pencil keeps only
+        M_0, so this is the same for every sigma."""
+        return self._get(
+            ("residual",), lambda: self.pencil(sigma, self.sys.m) - self.target()
+        )
 
 
 @lru_cache(maxsize=1)
@@ -383,6 +435,18 @@ def _first_nonzero(matrix):
     return None
 
 
+def _deviation(x, expected):
+    """None if x == expected, else the first entry of x - expected that is
+    nonzero (the difference is formed only then)."""
+    return None if x == expected else _first_nonzero(x - expected)
+
+
+def _consecution_flags(sigma):
+    """Consecution flags of steps 1..m-1: step i follows sigma at m-i-1."""
+    m = sigma.m
+    return tuple(sigma.has_consecution_at(m - i - 1) for i in range(1, m))
+
+
 def build_certificate(sys, sigma, pencil=None):
     """Construct and verify the equivalence certificate for one bijection.
 
@@ -391,10 +455,12 @@ def build_certificate(sys, sigma, pencil=None):
     intermediate pencil, and the residual, the last product
     L_{m-1}...L_1 * pencil * R_1...R_{m-1} = U * pencil * V minus
     diag(-I_{(m-1)n}, S(lam)), must vanish.  A mismatch raises
-    CertificateError with the first differing entry (a step's difference is
-    formed only then); a forged pencil is never silently accepted.  `pencil`
-    defaults to the spliced pencil of sigma.  The sigma-independent pieces
-    come from the per-system memo; the products with the pencil are per call.
+    CertificateError with the first differing entry; a forged pencil is
+    never silently accepted.  `pencil` defaults to the spliced pencil of
+    sigma.  Only step 1 multiplies the pencil: once its product equals the
+    intermediate pencil, the verdict of the later steps and the residual
+    come from the per-system memo, which also holds every other
+    sigma-independent piece.
     """
     _require_exact(sys)
     m = sys.m
@@ -406,23 +472,23 @@ def build_certificate(sys, sigma, pencil=None):
         pencil = pencil_algorithm1(sys, sigma)
     pieces = _pieces(sys)
 
-    flags = tuple(sigma.has_consecution_at(m - i - 1) for i in range(1, m))
+    flags = _consecution_flags(sigma)
     steps = [pieces.step(i, c) for i, c in enumerate(flags, start=1)]
-    x = pencil.as_poly_matrix()
-    for i, (left, right) in enumerate(steps, start=1):
-        x = left.matrix * x * right.matrix
-        expected = pieces.pencil(sigma, i + 1)
-        if x != expected:
-            pos = _first_nonzero(x - expected)
-            raise CertificateError(
-                f"step {i} product deviates from the intermediate pencil "
-                f"at entry {pos[:2]}: {pos[2]!r}",
-                position=pos[:2],
-            )
+    left, right = steps[0]
+    x = left.matrix * pencil.as_poly_matrix() * right.matrix
+    pos = _deviation(x, pieces.pencil(sigma, 2))
+    failure = (1, pos) if pos is not None else pieces.chain_tail(sigma, flags)
+    if failure is not None:
+        i, pos = failure
+        raise CertificateError(
+            f"step {i} product deviates from the intermediate pencil "
+            f"at entry {pos[:2]}: {pos[2]!r}",
+            position=pos[:2],
+        )
 
     u, v = pieces.transforms(flags)
     target = pieces.target()
-    residual = x - target
+    residual = pieces.residual(sigma)
     cert = EquivalenceCertificate(
         U=u,
         V=v,
@@ -443,6 +509,23 @@ def build_certificate(sys, sigma, pencil=None):
             position=pos[:2],
         )
     return cert
+
+
+def det_constant(sys, sigma):
+    """The constant c with det(pencil) = c * det S(lam) for every pencil
+    whose certificate for sigma passes.
+
+    U * pencil * V = diag(-I_{(m-1)n}, S(lam)) gives
+    c = (-1)^((m-1)n) / (det U * det V), and det U, det V are products of
+    the per-system step determinants.  None when det U * det V is not a
+    nonzero constant.  The caller decides what c means when det S = 0.
+    """
+    _require_exact(sys)
+    det_u, det_v = _pieces(sys).transform_dets(_consecution_flags(sigma))
+    det_uv = det_u * det_v
+    if det_uv.degree != 0:
+        return None
+    return Fraction((-1) ** ((sys.m - 1) * sys.n)) / det_uv.coefficient(0)
 
 
 def _is_identity_on_state_block(matrix, n, r, m):
@@ -473,4 +556,5 @@ def verify_rosenbrock_linearization(sys, sigma, pencil=None):
     if not _is_identity_on_state_block(cert.V, n, r, m):
         return False
     # a nonzero constant determinant: the zero polynomial has degree -1
-    return poly_matrix_det(cert.U).degree == 0 and poly_matrix_det(cert.V).degree == 0
+    det_u, det_v = _pieces(sys).transform_dets(_consecution_flags(sigma))
+    return det_u.degree == 0 and det_v.degree == 0

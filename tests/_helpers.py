@@ -1,6 +1,6 @@
 """Shared fixtures-in-code for the test suite: desk examples, random system
-generators (plain and hypothesis), and independent determinant and
-certificate-residual oracles."""
+generators (plain and hypothesis), and independent determinant,
+certificate-residual and determinant-constant oracles."""
 
 from __future__ import annotations
 
@@ -9,6 +9,7 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from rosepen import _linalg
+from rosepen.eigen import pencil_determinant
 from rosepen.polymat import Poly, PolyMatrix, RationalFn, RationalMatrix
 from rosepen.system import RepSpec, RepTerm, RosenbrockSystem
 
@@ -287,3 +288,12 @@ def exact_systems(draw):
 def certificate_residual(cert, pencil):
     """U * pencil * V - target, the residual formed by a second product."""
     return cert.U * pencil.as_poly_matrix() * cert.V - cert.target
+
+
+def det_constant_oracle(pencil, det_s):
+    """c with det(pencil) = c * det S from the pencil's own determinant, or
+    None when det S = 0 or the quotient is not a nonzero constant."""
+    if det_s.is_zero:
+        return None
+    q, rem = divmod(pencil_determinant(pencil), det_s)
+    return q.coefficient(0) if rem.is_zero and q.degree == 0 else None

@@ -1,17 +1,22 @@
 """End-to-end command line behavior: schemas, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
 import sys as _sys
 from fractions import Fraction as F
+from itertools import permutations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
+from _helpers import det_constant_oracle, exact_systems
 from rosepen import cli, eigen, equivalence, fiedler, system
 from rosepen import io as rio
 from rosepen.cli import main
+from rosepen.fiedler import Bijection, pencil_algorithm1, pencil_direct
 from rosepen.polymat import poly_matrix_det
 from rosepen.system import assemble_system_matrix
 
@@ -464,6 +469,84 @@ def test_zeros_does_not_load_hashlib(tmp_path):
         check=True,
     )
     assert proc.stdout.splitlines()[-1] == "0 False"
+
+
+def test_verify_does_not_load_openssl(tmp_path):
+    # the pencil hash comes from the interpreter's own SHA-256
+    path = write(tmp_path, "sys.json", M3_JSON)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    script = (
+        "import sys; from rosepen.cli import main; "
+        f"code = main(['verify', '--input', {path!r}, '--all']); "
+        "print(code, '_hashlib' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [_sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    *out, status = proc.stdout.splitlines()
+    assert status == "0 False"
+    results = json.loads("\n".join(out))["results"]
+    sys = rio.decode_system(M3_JSON, "exact")
+    assert len(results) == 6
+    for r in results:
+        pencil = pencil_algorithm1(sys, Bijection(tuple(r["sigma"])))
+        text = rio.dumps(rio.encode_pencil(pencil))
+        assert r["pencil_sha256"] == hashlib.sha256(text.encode()).hexdigest()
+
+
+@settings(max_examples=20, deadline=None)
+@given(exact_systems())
+def test_det_constant_matches_the_pencil_determinant(sys):
+    # c now comes from the certificate's step determinants; the oracle
+    # divides the pencil's own determinant by det S
+    det_s = poly_matrix_det(system.assemble_system_matrix(sys))
+    for order in permutations(range(sys.m)):
+        sigma = Bijection(order)
+        for pencil in (pencil_algorithm1(sys, sigma), pencil_direct(sys, sigma)):
+            entry = cli._verify_payload(sys, order, pencil)
+            assert entry["residual_zero"], order
+            want = det_constant_oracle(pencil, det_s)
+            assert entry["det_constant"] == (
+                None if want is None else rio.encode_scalar(want)
+            ), order
+
+
+def test_verify_det_constant_is_null_when_det_s_vanishes(tmp_path, capsys):
+    # P has two equal rows and B = C = 0, so det S = det P * det(A - lam E) = 0
+    doc = {
+        "P": [[[1, 0, 1], [2, 1, 0]], [[1, 0, 1], [2, 1, 0]]],
+        "A": [[1]],
+        "E": [[2]],
+        "B": [[0, 0]],
+        "C": [[0], [0]],
+    }
+    code, out, _ = run(capsys, "verify", "--input", write(tmp_path, "s.json", doc), "--all")
+    results = json.loads(out)["results"]
+    assert code == 0 and len(results) == 2
+    assert all(r["residual_zero"] and r["det_constant"] is None for r in results)
+    sys = rio.decode_system(doc, "exact")
+    det_s = poly_matrix_det(system.assemble_system_matrix(sys))
+    assert det_s.is_zero
+    for order in permutations(range(sys.m)):
+        pencil = pencil_algorithm1(sys, Bijection(order))
+        assert det_constant_oracle(pencil, det_s) is None
+
+
+def test_parser_is_built_once_per_process(tmp_path, capsys):
+    path = write(tmp_path, "desk1.json", DESK1_JSON)
+    argvs = (["verify", "--input", path, "--all"], ["ciss", "--sigma", "2,1,0"])
+    separate = []
+    for argv in argvs:
+        cli._build_parser.cache_clear()
+        separate.append(run(capsys, *argv))
+    cli._build_parser.cache_clear()
+    shared = [run(capsys, *argv) for argv in argvs]
+    assert shared == separate and shared[0][0] == shared[1][0] == 0
+    assert cli._build_parser.cache_info().misses == 1
 
 
 def test_verify_forged_pencil_after_a_passing_sweep(tmp_path, capsys):

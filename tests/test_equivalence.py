@@ -285,7 +285,8 @@ def test_chain_product_is_u_pencil_v(sys):
 
 
 def test_certificate_multiplies_the_pencil_once(monkeypatch):
-    # m = 4: two products per step, and none for a separate U * pencil * V
+    # m = 4, warm: two products for step 1; steps 2..m-1 and the residual
+    # come from the per-system memo, and there is no separate U * pencil * V
     sys = rand_system(random.Random(191), 1, 1, 4)
     sigma = Bijection((2, 0, 1, 3))
     pencil = pencil_algorithm1(sys, sigma)
@@ -300,7 +301,7 @@ def test_certificate_multiplies_the_pencil_once(monkeypatch):
     monkeypatch.setattr(PolyMatrix, "__mul__", counting)
     cert = build_certificate(sys, sigma, pencil=pencil)
     assert cert.residual_zero
-    assert len(calls) == 2 * (sys.m - 1)
+    assert len(calls) == 2
 
 
 def test_wrong_target_still_fails_the_residual(monkeypatch):
@@ -320,5 +321,40 @@ def test_wrong_target_still_fails_the_residual(monkeypatch):
             build_certificate(sys, Bijection((1, 0, 2)))
         size = sys.n * sys.m + sys.r
         assert info.value.position == (size - 1, size - 1)
+    finally:
+        equivalence._pieces.cache_clear()
+
+
+def test_step_two_failure_is_shared_by_sigmas_with_its_order(monkeypatch):
+    # m = 4: 2,0,1,3 and 3,2,0,1 keep the factor order 2,0,1 at step 2, so
+    # the later sigma reads the first one's memoised verdict; 2,1,0,3 keeps
+    # 1 before 0 and must still pass
+    sys = rand_system(random.Random(197), 1, 1, 4)
+    intermediate = equivalence.intermediate_pencil
+
+    def off_at_three(s, sigma, j):
+        p = intermediate(s, sigma, j)
+        if j != 3 or [i for i in sigma.inverse_order if i <= 1] != [0, 1]:
+            return p
+        entries = [list(row) for row in p.entries]
+        entries[0][0] = entries[0][0] + ONE
+        return PolyMatrix(entries)
+
+    def failure(sigma):
+        with pytest.raises(CertificateError, match="step 2 product deviates") as info:
+            build_certificate(sys, sigma)
+        return str(info.value), info.value.position
+
+    monkeypatch.setattr(equivalence, "intermediate_pencil", off_at_three)
+    first, later = Bijection((2, 0, 1, 3)), Bijection((3, 2, 0, 1))
+    equivalence._pieces.cache_clear()
+    try:
+        warm = [failure(first), failure(later)]
+        assert build_certificate(sys, Bijection((2, 1, 0, 3))).residual_zero
+        fresh = []
+        for sigma in (first, later):
+            equivalence._pieces.cache_clear()
+            fresh.append(failure(sigma))
+        assert warm == fresh
     finally:
         equivalence._pieces.cache_clear()
