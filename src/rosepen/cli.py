@@ -23,8 +23,8 @@ from ._linalg import EXACT, FLOAT
 from .eigen import classify_zeros, solve_rep
 from .equivalence import CertificateError, build_certificate, det_constant
 from .fiedler import Bijection, ciss, pencil_algorithm1, pencil_direct
-from .polymat import poly_matrix_det, smith_form
-from .system import SingularStateError, assemble_system_matrix, is_minimal, realize
+from .polymat import smith_form
+from .system import SingularStateError, assemble_system_matrix, is_minimal, realize, system_det
 
 # The pencil hash is a content fingerprint, not a security boundary: the
 # interpreter's own SHA-256 gives the same digest as hashlib's without
@@ -133,26 +133,14 @@ def cmd_zeros(args):
     return EXIT_OK
 
 
-@lru_cache(maxsize=1)
-def _system_det(sys):
-    """det S(λ), shared by every σ of one `verify` request.
-
-    Memoised per process on the (hashable) decoded system rather than sent
-    to the `--jobs` workers, since a Poly cannot be pickled; maxsize=1
-    holds only the current request's system.
-    """
-    return poly_matrix_det(assemble_system_matrix(sys))
-
-
 def _verify_payload(sys, order, pencil):
     """One certificate check of the decoded system `sys` on `pencil`, or
     on the Fiedler pencil of `order`, spliced by Algorithm 1 (m >= 2 here),
     when `pencil` is None.  Only the pencil's splice, its hash and the
     certificate's first chain step are per sigma; the later steps, the
-    residual and the step determinants behind c come from the per-system
-    certificate memo, and det S from `_system_det`.  A passing certificate
-    gives det(pencil) = c * det S exactly, so c needs no pencil
-    determinant."""
+    residual, the step determinants behind c and det S come from the
+    system's memo.  A passing certificate gives det(pencil) = c * det S
+    exactly, so c needs no pencil determinant."""
     sigma = Bijection(tuple(order))
     if pencil is None:
         pencil = pencil_algorithm1(sys, sigma)
@@ -169,7 +157,7 @@ def _verify_payload(sys, order, pencil):
     except CertificateError as exc:
         entry["error"] = str(exc)
         return entry
-    if not _system_det(sys).is_zero:
+    if not system_det(sys).is_zero:
         c = det_constant(sys, sigma)
         if c is not None:
             entry["det_constant"] = rio.encode_scalar(c)
@@ -216,10 +204,13 @@ def cmd_verify(args):
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        # a --pencil run has one sigma and never gets here
-        payloads = [(doc, order) for order in orders]
+        # a --pencil run has one sigma and never gets here; one contiguous
+        # slice of the orders per worker, so each decodes the system once
+        k = len(orders)
+        slices = [orders[w * k // workers : (w + 1) * k // workers] for w in range(workers)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_verify_star, payloads))
+            chunks = pool.map(_verify_chunk, [(doc, s) for s in slices])
+            results = [r for chunk in chunks for r in chunk]
     else:
         results = [_verify_payload(sys, order, pencil) for order in orders]
 
@@ -233,11 +224,13 @@ def cmd_verify(args):
     return EXIT_OK if summary["all_passed"] else EXIT_CERTIFICATE
 
 
-def _verify_star(payload):
-    """One certificate check in a `--jobs` worker.  The system travels as
-    its JSON document and is decoded here, since a Poly cannot be pickled."""
-    doc, order = payload
-    return _verify_payload(rio.decode_system(doc, EXACT), order, None)
+def _verify_chunk(payload):
+    """The certificate checks of a slice of orders in a `--jobs` worker.
+    The system travels as its JSON document and is decoded here once, since
+    a Poly cannot be pickled."""
+    doc, orders = payload
+    sys = rio.decode_system(doc, EXACT)
+    return [_verify_payload(sys, order, None) for order in orders]
 
 
 def cmd_ciss(args):

@@ -32,10 +32,10 @@ from .polymat import (
 from .system import (
     RosenbrockSystem,
     SingularStateError,
-    assemble_system_matrix,
     is_minimal,
     realize,
     state_pencil,
+    system_det,
     transfer_function,
 )
 
@@ -292,8 +292,7 @@ def classify_zeros(sys, sigma=None, backend="exact", pencil=None, tol=MATCH_TOL)
         sm = smith_mcmillan(transfer_function(sys))
         phi_g, psi_g = zero_pole_polys(sm)
 
-        det_s = poly_matrix_det(assemble_system_matrix(sys))
-        q, rem = divmod(gep.det_poly, det_s)
+        q, rem = divmod(gep.det_poly, system_det(sys))
         if not rem.is_zero or q.degree != 0:
             raise CertificateMismatch(
                 "pencil determinant is not a constant multiple of det S"

@@ -10,9 +10,11 @@ pencil is a trimmed structured linearization of the system matrix.
 
 Only the pencil depends on sigma beyond its consecution pattern.  The
 pieces that do not (the step pairs and their determinants, the factor
-matrices, the intermediate pencils, U and V, and the target) are built once
-per system and shared by every sigma of a sweep.  Each sigma multiplies its
-own pencil through the first step only and compares the product with the
+matrices, the intermediate pencils, U and V, and the target) live in the
+system's own memo (`RosenbrockSystem.memo`): every sigma of a sweep shares
+them, and they are freed with the system.  U and V are multiplied out only
+when a certificate's `U` or `V` is read.  Each sigma multiplies its own
+pencil through the first step only and compares the product with the
 intermediate pencil it must equal.  Once that holds, every later step's
 input is a memoised intermediate pencil, so the verdict of steps 2..m-1 is
 memoised per factor order kept at step 2, and the residual, the last
@@ -28,9 +30,9 @@ float residuals prove nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import reduce
 
 from ._linalg import EXACT
 from .fiedler import _factor_grid, pencil_algorithm1
@@ -221,26 +223,19 @@ def aux_block_transpose(aux, sys):
 
 class _SystemPieces:
     """The sigma-independent pieces of the certificates of one system, each
-    built on first use by the public function that defines it."""
+    built on first use by the public function that defines it and kept in
+    the system's memo."""
 
     def __init__(self, sys):
         self.sys = sys
-        self._memo = {}
-
-    def _get(self, key, build):
-        try:
-            return self._memo[key]
-        except KeyError:
-            value = self._memo[key] = build()
-            return value
 
     def aux(self, kind, i):
-        return self._get(("aux", kind, i), lambda: aux_matrix(self.sys, kind, i))
+        return self.sys.memo(("aux", kind, i), lambda: aux_matrix(self.sys, kind, i))
 
     def factor(self, i):
         """The Fiedler factor M_i as a PolyMatrix."""
         sys = self.sys
-        return self._get(
+        return self.sys.memo(
             ("factor", i),
             lambda: PolyMatrix.from_scalar_grid(_factor_grid(sys, i), sys.mode),
         )
@@ -255,7 +250,7 @@ class _SystemPieces:
                 return aux_block_transpose(q, self.sys), rr
             return aux_block_transpose(rr, self.sys), q
 
-        return self._get(("step", i, consecution), build)
+        return self.sys.memo(("step", i, consecution), build)
 
     def step_dets(self, i, consecution):
         """(det left, det right) of step i, each exact by poly_matrix_det."""
@@ -264,7 +259,7 @@ class _SystemPieces:
             left, right = self.step(i, consecution)
             return poly_matrix_det(left.matrix), poly_matrix_det(right.matrix)
 
-        return self._get(("step_dets", i, consecution), build)
+        return self.sys.memo(("step_dets", i, consecution), build)
 
     def transform_dets(self, flags):
         """(det U, det V) for the consecution flags of steps 1..m-1, as
@@ -279,7 +274,7 @@ class _SystemPieces:
         """intermediate_pencil(sys, sigma, j), which depends on sigma only
         through the order of the factors it keeps."""
         kept = tuple(i for i in sigma.inverse_order if i <= self.sys.m - j)
-        return self._get(("pencil", kept), lambda: intermediate_pencil(self.sys, sigma, j))
+        return self.sys.memo(("pencil", kept), lambda: intermediate_pencil(self.sys, sigma, j))
 
     def chain_tail(self, sigma, flags):
         """Verdict of steps 2..m-1 once step 1 has produced pencil(sigma, 2):
@@ -299,7 +294,7 @@ class _SystemPieces:
                     return i, pos
             return None
 
-        return self._get(("chain", kept), build)
+        return self.sys.memo(("chain", kept), build)
 
     def transforms(self, flags):
         """(U, V) for the consecution flags of steps 1..m-1."""
@@ -309,24 +304,17 @@ class _SystemPieces:
             u = reduce(PolyMatrix.__mul__, [left.matrix for left, _ in reversed(steps)])
             return u, reduce(PolyMatrix.__mul__, [right.matrix for _, right in steps])
 
-        return self._get(("transforms", flags), build)
+        return self.sys.memo(("transforms", flags), build)
 
     def target(self):
-        return self._get(("target",), lambda: _target(self.sys))
+        return self.sys.memo(("target",), lambda: _target(self.sys))
 
     def residual(self, sigma):
         """pencil(sigma, m) - target: the last intermediate pencil keeps only
         M_0, so this is the same for every sigma."""
-        return self._get(
+        return self.sys.memo(
             ("residual",), lambda: self.pencil(sigma, self.sys.m) - self.target()
         )
-
-
-@lru_cache(maxsize=1)
-def _pieces(sys):
-    """The certificate pieces of the current (hashable, exact) system;
-    maxsize=1 holds only that system."""
-    return _SystemPieces(sys)
 
 
 def aux_relations_check(sys, i):
@@ -355,7 +343,7 @@ def aux_relations_check(sys, i):
 
     if qb * lam_d * rr.matrix != lam_d_next + t.matrix:
         failures.append(f"(a) Q{i}^B (lam D{i}) R{i} != lam D{i + 1} + T{i}")
-    pieces = _pieces(sys)
+    pieces = _SystemPieces(sys)
     lo = pieces.factor(m - (i + 1))
     hi = pieces.factor(m - i)
     if qb * (lo * hi) * rr.matrix != lo + t.matrix:
@@ -381,7 +369,7 @@ def intermediate_pencil(sys, sigma, j):
     m = sys.m
     if not 1 <= j <= m:
         raise ValueError(f"intermediate index {j} out of range 1..{m}")
-    pieces = _pieces(sys)
+    pieces = _SystemPieces(sys)
     kept = [i for i in sigma.inverse_order if i <= m - j]
     prod = reduce(PolyMatrix.__mul__, [pieces.factor(i) for i in kept])
     return pieces.aux("D", j).matrix.scale(Poly.lam()) - prod
@@ -410,17 +398,24 @@ class EquivalenceCertificate:
 
     u_factors and v_factors list the constituent auxiliary matrices in
     product order (left to right); each item is (kind, index,
-    block_transposed).  The per-step chain records the intermediate system
-    pencils that the transformation passes through.
+    block_transposed).  U and V are multiplied out on first read, once per
+    system and consecution pattern.
     """
 
-    U: PolyMatrix
-    V: PolyMatrix
     u_factors: tuple
     v_factors: tuple
     residual: PolyMatrix
     target: PolyMatrix
-    chain_checked: bool
+    _pieces: _SystemPieces = field(repr=False, compare=False)
+    _flags: tuple = field(repr=False, compare=False)
+
+    @property
+    def U(self):
+        return self._pieces.transforms(self._flags)[0]
+
+    @property
+    def V(self):
+        return self._pieces.transforms(self._flags)[1]
 
     @property
     def residual_zero(self):
@@ -470,7 +465,7 @@ def build_certificate(sys, sigma, pencil=None):
         raise ValueError("bijection length does not match the system degree")
     if pencil is None:
         pencil = pencil_algorithm1(sys, sigma)
-    pieces = _pieces(sys)
+    pieces = _SystemPieces(sys)
 
     flags = _consecution_flags(sigma)
     steps = [pieces.step(i, c) for i, c in enumerate(flags, start=1)]
@@ -486,12 +481,8 @@ def build_certificate(sys, sigma, pencil=None):
             position=pos[:2],
         )
 
-    u, v = pieces.transforms(flags)
-    target = pieces.target()
     residual = pieces.residual(sigma)
     cert = EquivalenceCertificate(
-        U=u,
-        V=v,
         u_factors=tuple(
             (aux.kind, aux.index, aux.block_transposed) for aux, _ in reversed(steps)
         ),
@@ -499,8 +490,9 @@ def build_certificate(sys, sigma, pencil=None):
             (aux.kind, aux.index, aux.block_transposed) for _, aux in steps
         ),
         residual=residual,
-        target=target,
-        chain_checked=True,
+        target=pieces.target(),
+        _pieces=pieces,
+        _flags=flags,
     )
     if not cert.residual_zero:
         pos = _first_nonzero(residual)
@@ -521,7 +513,7 @@ def det_constant(sys, sigma):
     nonzero constant.  The caller decides what c means when det S = 0.
     """
     _require_exact(sys)
-    det_u, det_v = _pieces(sys).transform_dets(_consecution_flags(sigma))
+    det_u, det_v = _SystemPieces(sys).transform_dets(_consecution_flags(sigma))
     det_uv = det_u * det_v
     if det_uv.degree != 0:
         return None
@@ -556,5 +548,5 @@ def verify_rosenbrock_linearization(sys, sigma, pencil=None):
     if not _is_identity_on_state_block(cert.V, n, r, m):
         return False
     # a nonzero constant determinant: the zero polynomial has degree -1
-    det_u, det_v = _pieces(sys).transform_dets(_consecution_flags(sigma))
+    det_u, det_v = _SystemPieces(sys).transform_dets(_consecution_flags(sigma))
     return det_u.degree == 0 and det_v.degree == 0

@@ -16,7 +16,6 @@ that borders a classical Fiedler pencil of P.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import _linalg
 from .polymat import Poly, PolyMatrix
@@ -314,26 +313,10 @@ def _metadata(sigma):
     return m, m - s.i1
 
 
-@lru_cache(maxsize=1)
-def _exact_factor_grids(sys):
-    """index -> grid of M_index for the current exact system, filled on use."""
-    return {}
-
-
 def _factor_grid(sys, i):
-    """The grid of M_i.
-
-    In exact mode it is memoised per index for the current system, which
-    every sigma of a `verify` sweep shares; maxsize=1 holds only that
-    system.  Float mode builds it afresh, because -0.0 == 0.0 makes two
-    systems with different factors compare equal.
-    """
-    if sys.mode != _linalg.EXACT:
-        return make_factor(sys, i).matrix
-    grids = _exact_factor_grids(sys)
-    if i not in grids:
-        grids[i] = make_factor(sys, i).matrix
-    return grids[i]
+    """The grid of M_i, built once per system object (`RosenbrockSystem.memo`)
+    and shared by every sigma of a `verify` sweep."""
+    return sys.memo(("grid", i), lambda: make_factor(sys, i).matrix)
 
 
 def pencil_direct(sys, sigma):

@@ -37,6 +37,7 @@ __all__ = [
     "DecouplingReport",
     "MinimalityResult",
     "assemble_system_matrix",
+    "system_det",
     "state_pencil",
     "transfer_function",
     "decoupling_zeros",
@@ -59,9 +60,12 @@ class RosenbrockSystem:
     that is already linear.  Storing a padded zero leading coefficient
     inside P itself is rejected by construction (Poly never keeps trailing
     zero coefficients).
+
+    Facts derived from the system alone (factor grids, certificate pieces,
+    det S) are kept in its memo, which equality and hashing ignore.
     """
 
-    __slots__ = ("P", "A", "E", "B", "C", "n", "r", "m")
+    __slots__ = ("P", "A", "E", "B", "C", "n", "r", "m", "_memo")
 
     def __init__(self, P, A=(), E=(), B=(), C=()):
         if not isinstance(P, PolyMatrix):
@@ -92,6 +96,7 @@ class RosenbrockSystem:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "m", max(P.degree, 1))
+        object.__setattr__(self, "_memo", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("RosenbrockSystem is immutable")
@@ -103,6 +108,16 @@ class RosenbrockSystem:
     def coefficient(self, k):
         """Constant coefficient grid A_k of P (zeros beyond deg P)."""
         return self.P.coefficient_grid(k)
+
+    def memo(self, key, build):
+        """The value of `build()` under `key`, built once per system object.
+        No value may refer back to the system, so reference counting frees
+        the memo together with it."""
+        try:
+            return self._memo[key]
+        except KeyError:
+            value = self._memo[key] = build()
+            return value
 
     def e_is_nonsingular(self):
         if self.r == 0:
@@ -161,6 +176,11 @@ def assemble_system_matrix(sys):
         row += [Poly((sys.A[i][j], -sys.E[i][j]), mode) for j in range(sys.r)]
         entries.append(row)
     return PolyMatrix(entries)
+
+
+def system_det(sys):
+    """det S(lam), computed once per system object."""
+    return sys.memo("det_s", lambda: poly_matrix_det(assemble_system_matrix(sys)))
 
 
 def state_pencil(sys):

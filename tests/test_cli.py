@@ -290,16 +290,15 @@ def test_verify_all_computes_det_s_once(tmp_path, capsys, monkeypatch):
         calls.append(matrix)
         return poly_matrix_det(matrix)
 
-    poly_matrix_det = cli.poly_matrix_det
-    cli._system_det.cache_clear()
-    monkeypatch.setattr(cli, "poly_matrix_det", counting_det)
+    poly_matrix_det = system.poly_matrix_det
+    monkeypatch.setattr(system, "poly_matrix_det", counting_det)
     doc = {"P": [[[1, 2, 0, 1]]], "A": [[3]], "E": [[1]], "B": [[2]], "C": [[1]]}
     path = write(tmp_path, "sys.json", doc)
     code, out, _ = run(capsys, "verify", "--input", path, "--all")
     assert code == 0 and len(calls) == 1
     assert all(r["det_constant"] is not None for r in json.loads(out)["results"])
 
-    # with det S already memoised, a failing certificate still gets no constant
+    # a failing certificate gets no constant and computes no det S
     desk1 = write(tmp_path, "desk1.json", DESK1_JSON)
     code, out, _ = run(capsys, "verify", "--input", desk1, "--sigma", "1,0")
     assert code == 0
@@ -313,12 +312,6 @@ def test_verify_all_computes_det_s_once(tmp_path, capsys, monkeypatch):
     )
     assert code == 6 and json.loads(out)["results"][0]["det_constant"] is None
     assert len(calls) == 2
-
-
-def _clear_memos():
-    cli._system_det.cache_clear()
-    equivalence._pieces.cache_clear()
-    fiedler._exact_factor_grids.cache_clear()
 
 
 M3_JSON = {"P": [[[1, 2, 0, 1]]], "A": [[3]], "E": [[1]], "B": [[2]], "C": [[1]]}
@@ -368,7 +361,6 @@ def test_verify_all_builds_each_piece_once(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(equivalence, "aux_matrix", counting_aux)
     monkeypatch.setattr(fiedler, "make_factor", counting_factor)
-    _clear_memos()
     doc = {"P": [[[1, 2, 0, 1, 1]]], "A": [[3]], "E": [[1]], "B": [[2]], "C": [[1]]}
     path = write(tmp_path, "sys.json", doc)
     code, out, _ = run(capsys, "verify", "--input", path, "--all")
@@ -383,12 +375,32 @@ def test_verify_memos_hold_no_stale_system(tmp_path, capsys):
     second = write(tmp_path, "b.json", dict(M3_JSON, P=[[[2, -1, 3, 1]]], A=[[-1]]))
     fresh = []
     for path in (first, second):
-        _clear_memos()
         fresh.append(run(capsys, "verify", "--input", path, "--all"))
-    _clear_memos()
     warm = [run(capsys, "verify", "--input", p, "--all") for p in (first, second)]
     assert warm == fresh and fresh[0][1] != fresh[1][1]
     assert all(code == 0 for code, _, _ in fresh)
+
+
+def test_memo_dies_with_its_system(tmp_path, capsys):
+    # per-system facts live on the system, so nothing outlives a request;
+    # with the collector off, a cycle through a system would keep it too
+    import gc
+
+    sys_path = write(tmp_path, "sys.json", M3_JSON)
+    spec_path = write(tmp_path, "spec.json", EXNOEVL_SPEC_JSON)
+    held = [o for o in gc.get_objects() if isinstance(o, system.RosenbrockSystem)]
+    gc.disable()
+    try:
+        assert run(capsys, "verify", "--input", sys_path, "--all")[0] == 0
+        assert run(capsys, "zeros", "--input", spec_path)[0] == 0
+        left = [
+            o
+            for o in gc.get_objects()
+            if isinstance(o, system.RosenbrockSystem) and not any(o is h for h in held)
+        ]
+    finally:
+        gc.enable()
+    assert left == []
 
 
 class _SerialPool:
@@ -427,12 +439,33 @@ def test_verify_all_splices_every_pencil(tmp_path, capsys, monkeypatch, jobs):
                 monkeypatch.setattr(mod, name, counting(name, fn))
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-    _clear_memos()
     doc = {"P": [[[1, 2, 0, 1, 1]]], "A": [[3]], "E": [[1]], "B": [[2]], "C": [[1]]}
     path = write(tmp_path, "sys.json", doc)
     code, out, _ = run(capsys, "verify", "--input", path, "--all", "--jobs", jobs)
     assert code == 0 and len(json.loads(out)["results"]) == 24
     assert calls == {"pencil_direct": 0, "pencil_algorithm1": 24}
+
+
+def test_verify_jobs_decodes_once_per_worker(tmp_path, capsys, monkeypatch):
+    import concurrent.futures
+
+    calls = []
+    decode_system = rio.decode_system
+
+    def counting_decode(*args):
+        calls.append(args)
+        return decode_system(*args)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(rio, "decode_system", counting_decode)
+    doc = {"P": [[[1, 2, 0, 1, 1]]], "A": [[3]], "E": [[1]], "B": [[2]], "C": [[1]]}
+    path = write(tmp_path, "sys.json", doc)
+    serial = run(capsys, "verify", "--input", path, "--all")
+    calls.clear()
+    # m = 4: 24 certificates in two slices, one decode each and one in main
+    assert run(capsys, "verify", "--input", path, "--all", "--jobs", "2") == serial
+    assert serial[0] == 0 and len(calls) == 3
 
 
 def test_zeros_spec_builds_one_factor(tmp_path, capsys, monkeypatch):
@@ -446,7 +479,6 @@ def test_zeros_spec_builds_one_factor(tmp_path, capsys, monkeypatch):
         return make_factor(sys, i)
 
     monkeypatch.setattr(fiedler, "make_factor", counting_factor)
-    _clear_memos()
     spec = {"P": [[[-2, 0, 1]]], "terms": [{"num": [-2], "den": [-1, 1], "matrix": [[1]]}]}
     code, _, _ = run(capsys, "zeros", "--input", write(tmp_path, "spec.json", spec))
     assert code == 0 and built == [2]
@@ -551,7 +583,6 @@ def test_parser_is_built_once_per_process(tmp_path, capsys):
 
 def test_verify_forged_pencil_after_a_passing_sweep(tmp_path, capsys):
     path = write(tmp_path, "desk1.json", DESK1_JSON)
-    _clear_memos()
     code, out, _ = run(capsys, "verify", "--input", path, "--all")
     assert code == 0 and json.loads(out)["all_passed"] is True
     pencil = json.loads(run(capsys, "build", "--input", path, "--sigma", "1,0")[1])

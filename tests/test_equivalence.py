@@ -315,20 +315,17 @@ def test_wrong_target_still_fails_the_residual(monkeypatch):
         return PolyMatrix(entries)
 
     monkeypatch.setattr(equivalence, "_target", off_by_one)
-    equivalence._pieces.cache_clear()
-    try:
-        with pytest.raises(CertificateError, match="certificate residual is nonzero") as info:
-            build_certificate(sys, Bijection((1, 0, 2)))
-        size = sys.n * sys.m + sys.r
-        assert info.value.position == (size - 1, size - 1)
-    finally:
-        equivalence._pieces.cache_clear()
+    with pytest.raises(CertificateError, match="certificate residual is nonzero") as info:
+        build_certificate(sys, Bijection((1, 0, 2)))
+    size = sys.n * sys.m + sys.r
+    assert info.value.position == (size - 1, size - 1)
 
 
 def test_step_two_failure_is_shared_by_sigmas_with_its_order(monkeypatch):
     # m = 4: 2,0,1,3 and 3,2,0,1 keep the factor order 2,0,1 at step 2, so
     # the later sigma reads the first one's memoised verdict; 2,1,0,3 keeps
-    # 1 before 0 and must still pass
+    # 1 before 0 and must still pass; a fresh system from the same seed has
+    # a cold memo
     sys = rand_system(random.Random(197), 1, 1, 4)
     intermediate = equivalence.intermediate_pencil
 
@@ -340,21 +337,16 @@ def test_step_two_failure_is_shared_by_sigmas_with_its_order(monkeypatch):
         entries[0][0] = entries[0][0] + ONE
         return PolyMatrix(entries)
 
-    def failure(sigma):
+    def failure(sys, sigma):
         with pytest.raises(CertificateError, match="step 2 product deviates") as info:
             build_certificate(sys, sigma)
         return str(info.value), info.value.position
 
     monkeypatch.setattr(equivalence, "intermediate_pencil", off_at_three)
     first, later = Bijection((2, 0, 1, 3)), Bijection((3, 2, 0, 1))
-    equivalence._pieces.cache_clear()
-    try:
-        warm = [failure(first), failure(later)]
-        assert build_certificate(sys, Bijection((2, 1, 0, 3))).residual_zero
-        fresh = []
-        for sigma in (first, later):
-            equivalence._pieces.cache_clear()
-            fresh.append(failure(sigma))
-        assert warm == fresh
-    finally:
-        equivalence._pieces.cache_clear()
+    warm = [failure(sys, first), failure(sys, later)]
+    assert build_certificate(sys, Bijection((2, 1, 0, 3))).residual_zero
+    fresh = []
+    for sigma in (first, later):
+        fresh.append(failure(rand_system(random.Random(197), 1, 1, 4), sigma))
+    assert warm == fresh

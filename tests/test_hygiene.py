@@ -1,0 +1,54 @@
+"""Static checks on the library source."""
+
+import ast
+from pathlib import Path
+
+import rosepen
+
+SRC = Path(rosepen.__file__).resolve().parent
+
+
+def _unread_parameters(tree):
+    """(function name, parameter) for every parameter that its function,
+    nested scopes included, never reads; dunder methods are exempt, since
+    their signatures are fixed by the protocol they implement."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        name = getattr(node, "name", "<lambda>")
+        if name.startswith("__") and name.endswith("__"):
+            continue
+        args = node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs
+        params += [a for a in (args.vararg, args.kwarg) if a is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {
+            n.id
+            for stmt in body
+            for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        found += [(name, p.arg) for p in params if p.arg not in read]
+    return found
+
+
+def test_every_parameter_is_read():
+    unread = {
+        path.name: _unread_parameters(ast.parse(path.read_text(encoding="utf-8")))
+        for path in sorted(SRC.glob("*.py"))
+    }
+    assert {k: v for k, v in unread.items() if v} == {}
+
+
+def test_the_scan_finds_an_unread_parameter():
+    source = """
+def f(a, b):
+    return lambda c: a
+
+class K:
+    def __exit__(self, *exc):
+        pass
+"""
+    tree = ast.parse(source)
+    assert _unread_parameters(tree) == [("f", "b"), ("<lambda>", "c")]
