@@ -4,6 +4,12 @@ Grids are tuples of tuple rows.  Entries are `fractions.Fraction` in exact
 mode and `float` in float mode; nothing here ever mixes the two.  numpy only
 enters through the float-mode rank helper, all exact work stays in pure
 Python so equality is decidable.
+
+Across the package a tuple is built from a list, ``tuple([... for ...])``,
+never from a generator.  CPython sizes a tuple built from a generator at a
+guess of ten and shrinks it, and each shrunk tuple freed stays on the
+interpreter's free list of its size (up to 2000 per size), so a long-running
+process's memory grows with the number of requests it has served.
 """
 
 from __future__ import annotations
@@ -28,11 +34,11 @@ def coerce_scalar(x, mode):
 
 
 def freeze(grid):
-    return tuple(tuple(row) for row in grid)
+    return tuple([tuple(row) for row in grid])
 
 
 def coerce_grid(grid, mode):
-    return tuple(tuple(coerce_scalar(x, mode) for x in row) for row in grid)
+    return tuple([tuple([coerce_scalar(x, mode) for x in row]) for row in grid])
 
 
 def shape(grid):
@@ -51,36 +57,36 @@ def grid_mode(grid):
 
 def zeros(rows, cols, mode=EXACT):
     z = coerce_scalar(0, mode)
-    return tuple(tuple(z for _ in range(cols)) for _ in range(rows))
+    return tuple([tuple([z for _ in range(cols)]) for _ in range(rows)])
 
 
 def eye(k, mode=EXACT):
     one = coerce_scalar(1, mode)
     z = coerce_scalar(0, mode)
-    return tuple(tuple(one if i == j else z for j in range(k)) for i in range(k))
+    return tuple([tuple([one if i == j else z for j in range(k)]) for i in range(k)])
 
 
 def add(a, b):
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+    return tuple([tuple([x + y for x, y in zip(ra, rb)]) for ra, rb in zip(a, b)])
 
 
 def sub(a, b):
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+    return tuple([tuple([x - y for x, y in zip(ra, rb)]) for ra, rb in zip(a, b)])
 
 
 def neg(a):
-    return tuple(tuple(-x for x in row) for row in a)
+    return tuple([tuple([-x for x in row]) for row in a])
 
 
 def scale(a, c):
-    return tuple(tuple(c * x for x in row) for row in a)
+    return tuple([tuple([c * x for x in row]) for row in a])
 
 
 def mul(a, b):
     """Matrix product of two grids; the inner dimensions must agree."""
     bt = tuple(zip(*b))
     return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
+        [tuple([sum(x * y for x, y in zip(row, col)) for col in bt]) for row in a]
     )
 
 
@@ -120,11 +126,11 @@ def from_blocks(blocks):
 
 
 def submatrix(a, drop_row, drop_col):
-    return tuple(
-        tuple(x for j, x in enumerate(row) if j != drop_col)
+    return tuple([
+        tuple([x for j, x in enumerate(row) if j != drop_col])
         for i, row in enumerate(a)
         if i != drop_row
-    )
+    ])
 
 
 def _exact_div(a, b):

@@ -366,7 +366,7 @@ def classify_zeros(sys, sigma=None, backend="exact", pencil=None, tol=MATCH_TOL)
                 classification=EIGENPOLE if is_pole else EIGENVALUE,
             )
         )
-    poles = tuple(PoleEntry(value=v) for v, _ in _roots.cluster(pole_roots, tol))
+    poles = tuple([PoleEntry(value=v) for v, _ in _roots.cluster(pole_roots, tol)])
     return ZeroReport(
         zeros=tuple(zeros),
         poles=poles,

@@ -273,7 +273,7 @@ class _SystemPieces:
     def pencil(self, sigma, j):
         """intermediate_pencil(sys, sigma, j), which depends on sigma only
         through the order of the factors it keeps."""
-        kept = tuple(i for i in sigma.inverse_order if i <= self.sys.m - j)
+        kept = tuple([i for i in sigma.inverse_order if i <= self.sys.m - j])
         return self.sys.memo(("pencil", kept), lambda: intermediate_pencil(self.sys, sigma, j))
 
     def chain_tail(self, sigma, flags):
@@ -282,7 +282,7 @@ class _SystemPieces:
         product deviates from its intermediate pencil.  It depends on sigma
         only through the order of the factors 0..m-2 kept at step 2, which
         also fixes the flags of steps 2..m-1 (consecutions at 0..m-3)."""
-        kept = tuple(i for i in sigma.inverse_order if i <= self.sys.m - 2)
+        kept = tuple([i for i in sigma.inverse_order if i <= self.sys.m - 2])
 
         def build():
             x = self.pencil(sigma, 2)
@@ -439,7 +439,7 @@ def _deviation(x, expected):
 def _consecution_flags(sigma):
     """Consecution flags of steps 1..m-1: step i follows sigma at m-i-1."""
     m = sigma.m
-    return tuple(sigma.has_consecution_at(m - i - 1) for i in range(1, m))
+    return tuple([sigma.has_consecution_at(m - i - 1) for i in range(1, m)])
 
 
 def build_certificate(sys, sigma, pencil=None):
@@ -484,10 +484,10 @@ def build_certificate(sys, sigma, pencil=None):
     residual = pieces.residual(sigma)
     cert = EquivalenceCertificate(
         u_factors=tuple(
-            (aux.kind, aux.index, aux.block_transposed) for aux, _ in reversed(steps)
+            [(aux.kind, aux.index, aux.block_transposed) for aux, _ in reversed(steps)]
         ),
         v_factors=tuple(
-            (aux.kind, aux.index, aux.block_transposed) for _, aux in steps
+            [(aux.kind, aux.index, aux.block_transposed) for _, aux in steps]
         ),
         residual=residual,
         target=pieces.target(),

@@ -51,7 +51,7 @@ class Bijection:
     inverse_order: tuple
 
     def __post_init__(self):
-        order = tuple(int(i) for i in self.inverse_order)
+        order = tuple([int(i) for i in self.inverse_order])
         object.__setattr__(self, "inverse_order", order)
         if sorted(order) != list(range(len(order))):
             raise ValueError(
@@ -83,7 +83,7 @@ class Bijection:
 
     @classmethod
     def from_string(cls, text):
-        return cls(tuple(int(p) for p in text.split(",") if p.strip() != ""))
+        return cls(tuple([int(p) for p in text.split(",") if p.strip() != ""]))
 
 
 @dataclass(frozen=True)
@@ -190,17 +190,17 @@ def make_factor(sys, i):
     if i == 0:
         # column border -e_m (x) C: -C in the last block row
         col = []
-        zero_row = tuple(_linalg.coerce_scalar(0, mode) for _ in range(r))
+        zero_row = tuple([_linalg.coerce_scalar(0, mode) for _ in range(r)])
         for bi in range(m):
             for k in range(n):
                 col.append(
-                    tuple(-c for c in sys.C[k]) if bi == m - 1 else zero_row
+                    tuple([-c for c in sys.C[k]]) if bi == m - 1 else zero_row
                 )
         row_border = []
         zero = _linalg.coerce_scalar(0, mode)
         for k in range(r):
             row_border.append(
-                tuple([zero] * (m - 1) * n) + tuple(-b for b in sys.B[k])
+                tuple([zero] * (m - 1) * n) + tuple([-b for b in sys.B[k]])
             )
         grid = _linalg.from_blocks(
             [
@@ -228,7 +228,7 @@ def factor_inverse(factor):
     top = (m - i - 1) * n
     # recover A_i from the stored factor: the (top, top) block holds -A_i
     a_i = tuple(
-        tuple(-factor.matrix[top + a][top + b] for b in range(n)) for a in range(n)
+        [tuple([-factor.matrix[top + a][top + b] for b in range(n)]) for a in range(n)]
     )
     core = _linalg.from_blocks(
         [
@@ -431,7 +431,7 @@ def pencil_block_formula(sys, sigma):
     if r == 0:
         return SystemPencil(lead, const_poly, n, r, m, b_row, c_col)
     col = []
-    zero_row = tuple(_linalg.coerce_scalar(0, mode) for _ in range(r))
+    zero_row = tuple([_linalg.coerce_scalar(0, mode) for _ in range(r)])
     for bi in range(1, m + 1):
         for k in range(n):
             col.append(tuple(sys.C[k]) if bi == c_col else zero_row)

@@ -112,7 +112,7 @@ def encode_grid(grid):
 def decode_grid(obj, mode=EXACT):
     if not isinstance(obj, list) or any(not isinstance(row, list) for row in obj):
         raise ValueError("matrix must be a nested array")
-    return tuple(tuple(decode_scalar(x, mode) for x in row) for row in obj)
+    return tuple([tuple([decode_scalar(x, mode) for x in row]) for row in obj])
 
 
 def encode_poly_matrix(matrix):
@@ -176,7 +176,10 @@ def decode_rep_spec(obj, mode=EXACT):
     for t in obj["terms"]:
         if not isinstance(t, dict) or not {"num", "den", "matrix"} <= set(t):
             raise ValueError("each term needs 'num', 'den' and 'matrix'")
-        coeff = RationalFn(decode_poly(t["num"], mode), decode_poly(t["den"], mode))
+        den = decode_poly(t["den"], mode)
+        if den.is_zero:
+            raise ValueError("a term's denominator is the zero polynomial")
+        coeff = RationalFn(decode_poly(t["num"], mode), den)
         terms.append(RepTerm(coeff, decode_grid(t["matrix"], mode)))
     return RepSpec(decode_poly_matrix(obj["P"], mode), tuple(terms))
 

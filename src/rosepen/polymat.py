@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 
 from . import _linalg
 from ._linalg import EXACT, FLOAT, coerce_scalar
@@ -55,7 +55,7 @@ class Poly:
         coeffs = tuple(coeffs)
         if mode is None:
             mode = FLOAT if any(isinstance(c, float) for c in coeffs) else EXACT
-        coeffs = tuple(coerce_scalar(c, mode) for c in coeffs)
+        coeffs = tuple([coerce_scalar(c, mode) for c in coeffs])
         while coeffs and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
         object.__setattr__(self, "coeffs", coeffs)
@@ -212,9 +212,7 @@ class Poly:
         return self * (1 / Fraction(self.leading) if self.mode == EXACT else 1.0 / self.leading)
 
     def derivative(self):
-        return Poly(
-            (i * c for i, c in enumerate(self.coeffs) if i > 0), self.mode
-        )
+        return Poly([i * c for i, c in enumerate(self.coeffs) if i > 0], self.mode)
 
     def __eq__(self, other):
         return (
@@ -251,13 +249,58 @@ class Poly:
 
 
 def poly_gcd(a, b):
-    """Monic greatest common divisor over the rationals (exact mode only)."""
+    """Monic greatest common divisor over the rationals (exact mode only).
+
+    A primitive polynomial remainder sequence (Collins 1967; Brown 1971):
+    both operands become primitive integer polynomials, every
+    pseudo-remainder is divided by its content, and only the last nonzero
+    term becomes a monic `Fraction` polynomial, so the sequence pays integer
+    arithmetic instead of a gcd per `Fraction` operation.  gcd(0, 0) = 0.
+    """
     if a.mode != EXACT or b.mode != EXACT:
         raise ValueError("polynomial gcd requires exact mode")
-    while not b.is_zero:
-        r = a % b
-        a, b = b, r.monic()
-    return a.monic()
+    f, g = _primitive_part(a.coeffs), _primitive_part(b.coeffs)
+    if len(f) < len(g):
+        f, g = g, f
+    while len(g) > 1:
+        f, g = g, _primitive_part(_pseudo_remainder(f, g))
+    if g:
+        return Poly.one()
+    return Poly._trusted([Fraction(c, f[-1]) for c in f], EXACT)  # [] when both are 0
+
+
+def _primitive_part(coeffs):
+    """Coprime integer coefficients with the ratios of `coeffs` (ints or
+    Fractions, no trailing zero): denominators cleared, content divided
+    out.  [] for the zero polynomial."""
+    # a list, not a generator, for the argument tuple (see `_linalg`)
+    scale = lcm(*[c.denominator for c in coeffs])
+    ints = [c.numerator * (scale // c.denominator) for c in coeffs]
+    content = gcd(*ints)
+    return [c // content for c in ints] if content > 1 else ints
+
+
+def _pseudo_remainder(f, g):
+    """f mod g times a nonzero integer, for integer coefficient lists
+    with len(f) >= len(g) >= 2 and nonzero leading terms.  Each step scales
+    by lead(g) / gcd(lead(g), lead(r)) only, not by a full lead(g)."""
+    r = list(f)
+    dg = len(g) - 1
+    lead = g[-1]
+    while len(r) > dg:
+        c = r.pop()
+        if not c:
+            continue
+        k = gcd(c, lead)
+        u, v = lead // k, c // k
+        if u != 1:
+            r = [u * x for x in r]
+        shift = len(r) - dg
+        for j in range(dg):
+            r[shift + j] -= v * g[j]
+    while r and not r[-1]:
+        r.pop()
+    return r
 
 
 def poly_lcm(a, b):
@@ -420,7 +463,7 @@ class PolyMatrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries):
-        entries = tuple(tuple(e for e in row) for row in entries)
+        entries = tuple([tuple(row) for row in entries])
         if not entries or not entries[0]:
             raise ValueError("PolyMatrix must be non-empty")
         cols = len(entries[0])
@@ -457,7 +500,7 @@ class PolyMatrix:
         if mode is None:
             mode = _linalg.grid_mode(grid)
         return cls(
-            tuple(tuple(Poly((x,), mode) for x in row) for row in grid)
+            tuple([tuple([Poly((x,), mode) for x in row]) for row in grid])
         )
 
     @classmethod
@@ -465,7 +508,7 @@ class PolyMatrix:
         """Assemble sum_j lam^j A_j from constant coefficient grids."""
         rows, cols = _linalg.shape(grids[0])
         entries = [
-            [Poly((g[i][j] for g in grids), mode) for j in range(cols)]
+            [Poly([g[i][j] for g in grids], mode) for j in range(cols)]
             for i in range(rows)
         ]
         return cls(entries)
@@ -477,11 +520,11 @@ class PolyMatrix:
     @classmethod
     def zeros(cls, rows, cols, mode=EXACT):
         z = Poly.zero(mode)
-        return cls(tuple(tuple(z for _ in range(cols)) for _ in range(rows)))
+        return cls(tuple([tuple([z for _ in range(cols)]) for _ in range(rows)]))
 
     def coefficient_grid(self, k):
         """Constant coefficient matrix of lam^k."""
-        return tuple(tuple(e.coefficient(k) for e in row) for row in self.entries)
+        return tuple([tuple([e.coefficient(k) for e in row]) for row in self.entries])
 
     def __getitem__(self, key):
         i, j = key
@@ -490,23 +533,23 @@ class PolyMatrix:
     def __add__(self, other):
         self._check(other)
         return PolyMatrix._trusted(
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
+            tuple([
+                tuple([a + b for a, b in zip(ra, rb)])
                 for ra, rb in zip(self.entries, other.entries)
-            )
+            ])
         )
 
     def __sub__(self, other):
         self._check(other)
         return PolyMatrix._trusted(
-            tuple(
-                tuple(a - b for a, b in zip(ra, rb))
+            tuple([
+                tuple([a - b for a, b in zip(ra, rb)])
                 for ra, rb in zip(self.entries, other.entries)
-            )
+            ])
         )
 
     def __neg__(self):
-        return PolyMatrix(tuple(tuple(-e for e in row) for row in self.entries))
+        return PolyMatrix(tuple([tuple([-e for e in row]) for row in self.entries]))
 
     @classmethod
     def _trusted(cls, entries):
@@ -550,14 +593,14 @@ class PolyMatrix:
                 for j, b in terms:
                     term = b if one else a * b
                     acc[j] = term if acc[j] is None else acc[j] + term
-            out.append(tuple(zero if e is None else e for e in acc))
+            out.append(tuple([zero if e is None else e for e in acc]))
         return PolyMatrix._trusted(tuple(out))
 
     def scale(self, c):
         """Entrywise multiplication by a scalar or a scalar polynomial."""
         if not isinstance(c, Poly):
             c = Poly.constant(c, self.mode)
-        return PolyMatrix(tuple(tuple(c * e for e in row) for row in self.entries))
+        return PolyMatrix(tuple([tuple([c * e for e in row]) for row in self.entries]))
 
     def transpose(self):
         return PolyMatrix(tuple(zip(*self.entries)))
@@ -584,11 +627,11 @@ class PolyMatrix:
 
     def submatrix(self, drop_row, drop_col):
         return PolyMatrix(
-            tuple(
-                tuple(e for j, e in enumerate(row) if j != drop_col)
+            tuple([
+                tuple([e for j, e in enumerate(row) if j != drop_col])
                 for i, row in enumerate(self.entries)
                 if i != drop_row
-            )
+            ])
         )
 
     def __repr__(self):
@@ -609,7 +652,7 @@ def poly_matrix_eval(matrix, lam0):
             raise ValueError("float point for an exact-mode matrix")
     elif not isinstance(lam0, complex):
         raise TypeError("unsupported evaluation point")
-    return tuple(tuple(e(lam0) for e in row) for row in matrix.entries)
+    return tuple([tuple([e(lam0) for e in row]) for row in matrix.entries])
 
 
 def _interpolate(samples, scale):
@@ -868,7 +911,7 @@ def smith_form(matrix):
         raise ValueError("Smith form requires exact mode")
     pivots, t, _, _ = _smith_reduce(matrix, track=False)
     identity = sum(1 for p in pivots if p.degree == 0)
-    invariant = tuple(p for p in pivots if p.degree > 0)
+    invariant = tuple([p for p in pivots if p.degree > 0])
     return SmithForm(
         identity_count=identity,
         invariant_polys=invariant,
@@ -883,7 +926,7 @@ def smith_form_with_transforms(matrix):
         raise ValueError("Smith form requires exact mode")
     pivots, t, u, v = _smith_reduce(matrix, track=True)
     identity = sum(1 for p in pivots if p.degree == 0)
-    invariant = tuple(p for p in pivots if p.degree > 0)
+    invariant = tuple([p for p in pivots if p.degree > 0])
     form = SmithForm(
         identity_count=identity,
         invariant_polys=invariant,
@@ -909,7 +952,7 @@ class RationalMatrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries):
-        entries = tuple(tuple(e for e in row) for row in entries)
+        entries = tuple([tuple(row) for row in entries])
         if not entries or not entries[0]:
             raise ValueError("RationalMatrix must be non-empty")
         cols = len(entries[0])
@@ -936,10 +979,10 @@ class RationalMatrix:
     @classmethod
     def from_poly_matrix(cls, matrix):
         return cls(
-            tuple(
-                tuple(RationalFn.from_poly(e) for e in row)
+            tuple([
+                tuple([RationalFn.from_poly(e) for e in row])
                 for row in matrix.entries
-            )
+            ])
         )
 
     def __getitem__(self, key):
@@ -950,20 +993,20 @@ class RationalMatrix:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("dimension mismatch")
         return RationalMatrix(
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
+            tuple([
+                tuple([a + b for a, b in zip(ra, rb)])
                 for ra, rb in zip(self.entries, other.entries)
-            )
+            ])
         )
 
     def __sub__(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("dimension mismatch")
         return RationalMatrix(
-            tuple(
-                tuple(a - b for a, b in zip(ra, rb))
+            tuple([
+                tuple([a - b for a, b in zip(ra, rb)])
                 for ra, rb in zip(self.entries, other.entries)
-            )
+            ])
         )
 
     def __eq__(self, other):
@@ -998,10 +1041,10 @@ def smith_mcmillan(matrix):
         for e in row:
             d = poly_lcm(d, e.den)
     numer = PolyMatrix(
-        tuple(
-            tuple(e.num * (d // e.den) for e in row)
+        tuple([
+            tuple([e.num * (d // e.den) for e in row])
             for row in matrix.entries
-        )
+        ])
     )
     sf = smith_form(numer)
     eps = [Poly.one()] * sf.identity_count + list(sf.invariant_polys)
@@ -1039,9 +1082,9 @@ def multiplicity_index(sm, lam0, kind):
     """
     lam0 = Fraction(lam0)
     if kind == "zero":
-        return tuple(_root_multiplicity(p, lam0) for p in sm.numerators)
+        return tuple([_root_multiplicity(p, lam0) for p in sm.numerators])
     if kind == "pole":
         return tuple(
-            _root_multiplicity(p, lam0) for p in reversed(sm.denominators)
+            [_root_multiplicity(p, lam0) for p in reversed(sm.denominators)]
         )
     raise ValueError("kind must be 'zero' or 'pole'")

@@ -285,8 +285,8 @@ def decoupling_zeros(sys):
     if sys.mode == EXACT:
         zin = _pencil_zero_polynomial(_input_pencil(sys))
         zout = _pencil_zero_polynomial(_output_pencil(sys))
-        inputs = tuple(v for v, _ in _roots.all_roots(zin)) if zin.degree > 0 else ()
-        outputs = tuple(v for v, _ in _roots.all_roots(zout)) if zout.degree > 0 else ()
+        inputs = tuple([v for v, _ in _roots.all_roots(zin)]) if zin.degree > 0 else ()
+        outputs = tuple([v for v, _ in _roots.all_roots(zout)]) if zout.degree > 0 else ()
         return DecouplingReport(inputs, outputs)
 
     import numpy as np
@@ -367,8 +367,8 @@ def _rank_factorization(grid, mode):
         rho = len(pivots)
         if rho == 0:
             return 0, (), ()
-        left = tuple(tuple(row[j] for j in pivots) for row in grid)
-        right = tuple(red[i] for i in range(rho))
+        left = tuple([tuple([row[j] for j in pivots]) for row in grid])
+        right = tuple([red[i] for i in range(rho)])
         return rho, left, right
 
     import numpy as np
@@ -382,8 +382,8 @@ def _rank_factorization(grid, mode):
     if rho == 0:
         return 0, (), ()
     sq = np.sqrt(s[:rho])
-    left = tuple(tuple(float(x) for x in (u[:, :rho] * sq)[i]) for i in range(m.shape[0]))
-    right = tuple(tuple(float(x) for x in (sq[:, None] * vt[:rho])[i]) for i in range(rho))
+    left = tuple([tuple([float(x) for x in (u[:, :rho] * sq)[i]]) for i in range(m.shape[0])])
+    right = tuple([tuple([float(x) for x in (sq[:, None] * vt[:rho])[i]]) for i in range(rho)])
     return rho, left, right
 
 

@@ -1,6 +1,6 @@
 """Shared fixtures-in-code for the test suite: desk examples, random system
-generators (plain and hypothesis), and independent determinant,
-certificate-residual and determinant-constant oracles."""
+and REP spec generators (plain and hypothesis), and independent gcd,
+determinant, certificate-residual and determinant-constant oracles."""
 
 from __future__ import annotations
 
@@ -283,6 +283,41 @@ def exact_systems(draw):
     if r == 0:
         return RosenbrockSystem(P)
     return RosenbrockSystem(P, grid(r, r), grid(r, r), grid(r, n), grid(n, r))
+
+
+@st.composite
+def rep_specs(draw):
+    """Exact REP specs with integer and p/q entries: n <= 2, deg P = 1 or 2, up to
+    three terms (c0 + c1 lam + c2 lam^2) / (lam - p) with rational, possibly
+    repeated, poles p and nonzero coefficient matrices."""
+    n = draw(st.integers(1, 2))
+
+    def grid():
+        return [[draw(_SCALAR) for _ in range(n)] for _ in range(n)]
+
+    grids = [grid() for _ in range(draw(st.integers(2, 3)))]
+    if _linalg.is_zero(grids[-1]):
+        grids[-1][0][0] = 1
+    P = PolyMatrix.from_coefficient_grids(grids)
+    terms = []
+    for _ in range(draw(st.integers(0, 3))):
+        den = Poly([-draw(_SCALAR), 1])
+        num = Poly(draw(st.lists(_SCALAR, min_size=1, max_size=3)))
+        if num(-den.coefficient(0)) == 0:  # it would cancel the pole
+            num = num + ONE
+        mat = grid()
+        if _linalg.is_zero(mat):
+            mat[0][0] = 1
+        terms.append(RepTerm(RationalFn(num, den), mat))
+    return RepSpec(P, tuple(terms))
+
+
+def euclid_gcd(a, b):
+    """Monic gcd by Euclid's algorithm over `Fraction`: an independent
+    oracle for `polymat.poly_gcd`."""
+    while not b.is_zero:
+        a, b = b, (a % b).monic()
+    return a.monic()
 
 
 def certificate_residual(cert, pencil):

@@ -628,6 +628,21 @@ def test_numeric_backend_on_exact_numbers_beyond_float_range(tmp_path, capsys):
     assert run(capsys, "build", "--input", path)[0] == 0
 
 
+# --- malformed REP specs ---------------------------------------------------------------
+
+@pytest.mark.parametrize("den", [[0], []])
+@pytest.mark.parametrize(
+    "argv", [["zeros"], ["zeros", "--backend", "numeric"], ["realize"]]
+)
+def test_zero_term_denominator_is_a_parse_error(tmp_path, capsys, argv, den):
+    doc = json.loads(json.dumps(EXNOEVL_SPEC_JSON))
+    doc["terms"][0]["den"] = den
+    path = write(tmp_path, "spec.json", doc)
+    code, out, err = run(capsys, *argv, "--input", path)
+    assert code == 2 and out == ""
+    assert err.startswith("rosepen:") and "zero polynomial" in err
+
+
 def test_exact_zeros_beyond_float_range(tmp_path, capsys):
     # det S = lam^3 - lam^2 - 10**400: no rational root, and its companion
     # coefficients are beyond binary64 while its roots are not

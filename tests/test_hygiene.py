@@ -52,3 +52,43 @@ class K:
 """
     tree = ast.parse(source)
     assert _unread_parameters(tree) == [("f", "b"), ("<lambda>", "c")]
+
+
+def _tuples_from_generators(tree):
+    """Lines that build a tuple from a generator: tuple(<genexpr>) or a call
+    with a *<genexpr> argument (see the `_linalg` docstring for the cost)."""
+    found = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        direct = (
+            isinstance(node.func, ast.Name)
+            and node.func.id == "tuple"
+            and node.args
+            and isinstance(node.args[0], ast.GeneratorExp)
+        )
+        starred = any(
+            isinstance(a, ast.Starred) and isinstance(a.value, ast.GeneratorExp)
+            for a in node.args
+        )
+        if direct or starred:
+            found.add(node.lineno)
+    return sorted(found)
+
+
+def test_no_tuple_is_built_from_a_generator():
+    found = {
+        path.name: _tuples_from_generators(ast.parse(path.read_text(encoding="utf-8")))
+        for path in sorted(SRC.glob("*.py"))
+    }
+    assert {k: v for k, v in found.items() if v} == {}
+
+
+def test_the_scan_finds_tuples_built_from_generators():
+    source = """
+a = tuple(x for x in y)
+b = tuple([x for x in y])
+c = lcm(*(x for x in y))
+d = lcm(*[x for x in y])
+"""
+    assert _tuples_from_generators(ast.parse(source)) == [2, 4]

@@ -9,7 +9,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _helpers import LAM, ONE, bareiss_det, cofactor_det, naive_poly_matmul, naive_poly_op
+from _helpers import (
+    LAM,
+    ONE,
+    bareiss_det,
+    cofactor_det,
+    euclid_gcd,
+    naive_poly_matmul,
+    naive_poly_op,
+)
 from rosepen.polymat import (
     Poly,
     PolyMatrix,
@@ -77,6 +85,83 @@ def test_square_free_decomposition_multiplicity_classes():
     for f, k in parts:
         rebuilt = rebuilt * f**k
     assert rebuilt == p.monic()
+
+
+# integers, p/q with large denominators, and integers beyond 2**64
+_GCD_SCALAR = (
+    st.integers(-5, 5)
+    | st.builds(F, st.integers(-10**6, 10**6), st.integers(1, 10**15))
+    | st.integers(-2**80, 2**80)
+)
+
+
+def _polys(max_degree):
+    return st.lists(_GCD_SCALAR, max_size=max_degree + 1).map(Poly)
+
+
+@st.composite
+def _gcd_operands(draw):
+    """Operand pairs sharing a planted factor, one or both zero, a nonzero
+    constant, or equal; in either order."""
+    common = draw(_polys(3))
+    a, b = common * draw(_polys(3)), common * draw(_polys(3))
+    shape = draw(st.sampled_from(["planted", "zero", "both zero", "constant", "equal"]))
+    if shape == "zero":
+        b = Poly.zero()
+    elif shape == "both zero":
+        a = b = Poly.zero()
+    elif shape == "constant":
+        b = Poly.constant(draw(_GCD_SCALAR.filter(bool)))
+    elif shape == "equal":
+        b = a
+    return draw(st.permutations([a, b]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_gcd_operands())
+def test_gcd_matches_euclid_oracle(operands):
+    a, b = operands
+    assert poly_gcd(a, b) == euclid_gcd(a, b)
+
+
+@st.composite
+def _products_of_powers(draw):
+    factors = draw(st.lists(_polys(2).filter(lambda f: f.degree >= 1), min_size=1, max_size=3))
+    p = Poly.constant(draw(_GCD_SCALAR.filter(bool)))
+    for f in factors:
+        p = p * f ** draw(st.integers(1, 3))
+    return p
+
+
+@settings(max_examples=60, deadline=None)
+@given(_products_of_powers())
+def test_square_free_decomposition_rebuilds_the_monic_input(p):
+    parts = square_free_decomposition(p)
+    rebuilt = ONE
+    for f, k in parts:
+        assert f == f.monic() and euclid_gcd(f, f.derivative()) == ONE
+        rebuilt = rebuilt * f**k
+    assert rebuilt == p.monic()
+    for i, (f, _) in enumerate(parts):
+        assert all(euclid_gcd(f, g) == ONE for g, _ in parts[i + 1 :])
+
+
+def test_gcd_of_rationals_divides_no_polynomial(monkeypatch):
+    # one gcd path: the integer remainder sequence, never Poly division
+    calls = []
+    divmod_poly = Poly.__divmod__
+
+    def counting(self, other):
+        calls.append(1)
+        return divmod_poly(self, other)
+
+    monkeypatch.setattr(Poly, "__divmod__", counting)
+    common = Poly([F(-1, 3), F(2, 7), 1])
+    a = common * Poly([F(5, 11), F(-3, 2)])
+    b = common * Poly([F(1, 9), 0, F(4, 5)])
+    assert poly_gcd(a, b) == common
+    assert calls == []
+    assert euclid_gcd(a, b) == common and calls
 
 
 def test_rational_fn_reduced_and_monic_denominator():

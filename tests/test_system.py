@@ -6,6 +6,7 @@ import warnings
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
 
 from _helpers import (
     LAM,
@@ -15,6 +16,7 @@ from _helpers import (
     rand_rep_spec,
     rand_system,
     rational_det,
+    rep_specs,
 )
 from rosepen.polymat import (
     Poly,
@@ -217,6 +219,12 @@ def test_realize_round_trip_random_specs():
         spec = rand_rep_spec(rng, rng.randint(1, 3), rng.randint(1, 3))
         sys = realize(spec)
         assert transfer_function(sys) == rep_spec_matrix(spec)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rep_specs())
+def test_realize_round_trip_property(spec):
+    assert transfer_function(realize(spec)) == rep_spec_matrix(spec)
 
 
 def test_minimal_realization_state_size_is_pole_degree():
