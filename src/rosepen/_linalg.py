@@ -44,6 +44,8 @@ def coerce_grid(grid, mode):
 def shape(grid):
     rows = len(grid)
     cols = len(grid[0]) if rows else 0
+    if any(len(row) != cols for row in grid):
+        raise ValueError("ragged rows in a grid")
     return rows, cols
 
 

@@ -21,7 +21,7 @@ from itertools import permutations
 from . import io as rio
 from ._linalg import EXACT, FLOAT
 from .eigen import classify_zeros, solve_rep
-from .equivalence import CertificateError, build_certificate, det_constant
+from .equivalence import CertificateError, build_certificate
 from .fiedler import Bijection, ciss, pencil_algorithm1, pencil_direct
 from .polymat import smith_form
 from .system import SingularStateError, assemble_system_matrix, is_minimal, realize, system_det
@@ -138,9 +138,10 @@ def _verify_payload(sys, order, pencil):
     on the Fiedler pencil of `order`, spliced by Algorithm 1 (m >= 2 here),
     when `pencil` is None.  Only the pencil's splice, its hash and the
     certificate's first chain step are per sigma; the later steps, the
-    residual, the step determinants behind c and det S come from the
-    system's memo.  A passing certificate gives det(pencil) = c * det S
-    exactly, so c needs no pencil determinant."""
+    residual and det S come from the system's memo.  A passing certificate
+    gives det(pencil) = c * det S with c = 1 for every system, so c needs
+    no determinant; it is null when the certificate fails or det S = 0.
+    Raises ValueError for a pencil of another (n, r, m) than `sys`."""
     sigma = Bijection(tuple(order))
     if pencil is None:
         pencil = pencil_algorithm1(sys, sigma)
@@ -158,9 +159,8 @@ def _verify_payload(sys, order, pencil):
         entry["error"] = str(exc)
         return entry
     if not system_det(sys).is_zero:
-        c = det_constant(sys, sigma)
-        if c is not None:
-            entry["det_constant"] = rio.encode_scalar(c)
+        # U * pencil * V = diag(-I, S), det U * det V = (-1)^((m-1)n): c = 1
+        entry["det_constant"] = 1
     return entry
 
 
@@ -212,7 +212,10 @@ def cmd_verify(args):
             chunks = pool.map(_verify_chunk, [(doc, s) for s in slices])
             results = [r for chunk in chunks for r in chunk]
     else:
-        results = [_verify_payload(sys, order, pencil) for order in orders]
+        try:
+            results = [_verify_payload(sys, order, pencil) for order in orders]
+        except ValueError as exc:  # a --pencil of another (n, r, m)
+            return _fail(EXIT_PARSE, str(exc))
 
     summary = {
         "m": sys.m,

@@ -13,7 +13,7 @@ import json
 from fractions import Fraction
 from math import isfinite
 
-from ._linalg import EXACT
+from ._linalg import EXACT, shape
 from .eigen import ZeroReport
 from .fiedler import SystemPencil
 from .polymat import Poly, PolyMatrix, RationalFn
@@ -203,7 +203,8 @@ def decode_pencil(obj, mode=EXACT):
     lead = decode_grid(obj["lead"], mode)
     const = decode_grid(obj["const_term"], mode)
     n, r, m = int(obj["n"]), int(obj["r"]), int(obj["m"])
-    if len(lead) != n * m + r or len(const) != n * m + r:
+    size = n * m + r
+    if shape(lead) != (size, size) or shape(const) != (size, size):
         raise ValueError("pencil grids do not match the declared dimensions")
     return SystemPencil(
         lead=lead,

@@ -1,19 +1,23 @@
 """End-to-end command line behavior: schemas, exit codes, determinism."""
 
 import hashlib
+import io
 import json
 import os
+import random
 import subprocess
 import sys as _sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 from itertools import permutations
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from _helpers import det_constant_oracle, exact_systems
-from rosepen import cli, eigen, equivalence, fiedler, system
+from _helpers import det_constant_oracle, exact_systems, rand_system, rep_specs
+from rosepen import cli, eigen, equivalence, fiedler, polymat, system
 from rosepen import io as rio
 from rosepen.cli import main
 from rosepen.fiedler import Bijection, pencil_algorithm1, pencil_direct
@@ -533,8 +537,8 @@ def test_verify_does_not_load_openssl(tmp_path):
 @settings(max_examples=20, deadline=None)
 @given(exact_systems())
 def test_det_constant_matches_the_pencil_determinant(sys):
-    # c now comes from the certificate's step determinants; the oracle
-    # divides the pencil's own determinant by det S
+    # the CLI's c is the closed form 1; the oracle divides the pencil's own
+    # determinant by det S
     det_s = poly_matrix_det(system.assemble_system_matrix(sys))
     for order in permutations(range(sys.m)):
         sigma = Bijection(order)
@@ -594,6 +598,45 @@ def test_verify_forged_pencil_after_a_passing_sweep(tmp_path, capsys):
     result = json.loads(out)["results"][0]
     assert code == 6 and result["residual_zero"] is False
     assert result["det_constant"] is None
+
+
+def test_verify_all_computes_only_det_s(tmp_path, capsys, monkeypatch):
+    # m = 4: det S is the one determinant; the step determinants are fixed
+    # by the construction (test_equivalence's structural property)
+    calls = []
+    original = polymat.poly_matrix_det
+
+    def counting_det(matrix):
+        calls.append(matrix.rows)
+        return original(matrix)
+
+    for name, mod in list(_sys.modules.items()):
+        if name.startswith("rosepen") and getattr(mod, "poly_matrix_det", None) is original:
+            monkeypatch.setattr(mod, "poly_matrix_det", counting_det)
+    doc = {"P": [[[1, 2, 0, 1, 1]]], "A": [[3]], "E": [[1]], "B": [[2]], "C": [[1]]}
+    code, out, _ = run(capsys, "verify", "--input", write(tmp_path, "s.json", doc), "--all")
+    results = json.loads(out)["results"]
+    assert code == 0 and len(results) == 24
+    assert all(r["det_constant"] == 1 for r in results)
+    assert calls == [2]  # S is (n + r) x (n + r)
+
+
+@pytest.mark.parametrize("shape", [(2, 0, 2), (1, 2, 2), (1, 0, 2), (1, 0, 3)])
+def test_verify_pencil_of_another_shape_is_a_parse_error(tmp_path, capsys, shape):
+    # the (1, 1, 2) system against pencils of other (n, r, m); (1, 0, 3) has
+    # the system's size 3, the others do not
+    n, r, m = shape
+    other = rand_system(random.Random(211), n, r, m)
+    pencil = pencil_algorithm1(other, Bijection.first_companion_order(m))
+    ppath = write(tmp_path, "pencil.json", rio.encode_pencil(pencil))
+    doc = {"P": [[[1, 2, 3]]], "A": [[1]], "E": [[1]], "B": [[1]], "C": [[1]]}
+    path = write(tmp_path, "sys.json", doc)
+    code, out, err = run(capsys, "verify", "--input", path, "--sigma", "1,0", "--pencil", ppath)
+    assert code == 2 and out == ""
+    assert err.startswith("rosepen:") and "pencil dimensions do not match the system" in err
+    sys = rio.decode_system(doc)
+    with pytest.raises(ValueError, match=rf"\(n, r, m\) = \({n}, {r}, {m}\).*\(1, 1, 2\)"):
+        equivalence.build_certificate(sys, Bijection((1, 0)), pencil=pencil)
 
 
 # --- out-of-range numbers ------------------------------------------------------------
@@ -736,3 +779,95 @@ def test_out_flag_writes_file(tmp_path, capsys):
     code, out, _ = run(capsys, "build", "--input", path, "--out", str(target))
     assert code == 0 and out == ""
     assert json.loads(target.read_text())["m"] == 2
+
+
+# --- fuzz -------------------------------------------------------------------------
+
+_SCHEMA_KEYS = (
+    "P", "A", "E", "B", "C", "n", "r", "m", "terms", "num", "den", "matrix",
+    "lead", "const_term", "b_row_block", "c_col_block",
+)
+_FUZZ_SCALARS = st.one_of(
+    st.integers(-3, 3),
+    st.integers(2**64, 2**80),
+    st.integers(-(2**80), -(2**64)),
+    st.floats(-10, 10) | st.sampled_from([1e300, -2.5e-8, 0.5, 3.0]),
+    st.sampled_from(["1/2", "-3/4", "1/0", "0/5", "7", "x", ""]),
+    st.booleans(),
+    st.none(),
+)
+_FUZZ_JSON = st.recursive(
+    _FUZZ_SCALARS,
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.sampled_from(_SCHEMA_KEYS), kids, max_size=5),
+    max_leaves=16,
+)
+_FUZZ_SIGMAS = st.one_of(
+    st.integers(2, 4).flatmap(lambda m: st.permutations(range(m))).map(
+        lambda p: ",".join(map(str, p))
+    ),
+    st.sampled_from(["", "0,0", "a,b", "-1,0", "0,1,2,3,4", "1,,0"]),
+)
+
+
+@st.composite
+def _mutated(draw, value):
+    """`value` with one nested item, or the whole of it, replaced by junk."""
+    if isinstance(value, (list, dict)) and value and draw(st.booleans()):
+        value = value.copy()
+        key = draw(st.sampled_from(sorted(value) if isinstance(value, dict) else range(len(value))))
+        value[key] = draw(_mutated(value[key]))
+        return value
+    return draw(_FUZZ_JSON)
+
+
+@st.composite
+def _fuzz_documents(draw):
+    """(document, m): junk JSON, or an encoded system, REP spec or pencil,
+    each intact or with some part replaced by junk, and the degree of the
+    system it came from (2 for junk)."""
+    kind = draw(st.sampled_from(["junk", "system", "system", "spec", "pencil"]))
+    if kind == "junk":
+        return draw(_FUZZ_JSON), 2
+    if kind == "spec":
+        return draw(_mutated(rio.encode_rep_spec(draw(rep_specs())))), 2
+    sys = draw(exact_systems())
+    doc = rio.encode_system(sys)
+    if kind == "pencil":
+        doc = rio.encode_pencil(pencil_algorithm1(sys, Bijection.first_companion_order(sys.m)))
+    return (draw(_mutated(doc)) if draw(st.integers(0, 2)) == 0 else doc), sys.m
+
+
+def _main_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=30, deadline=None)
+@given(inputs=_fuzz_documents(), pencil=_fuzz_documents(), sigma=_FUZZ_SIGMAS)
+def test_cli_fuzz_exits_with_a_documented_code(tmp_path_factory, inputs, pencil, sigma):
+    # any JSON, as system input or as a --pencil (often of another shape),
+    # ends in a documented exit code, and the same input repeats its output;
+    # --pencil runs get the companion order of the input's degree
+    (doc, m), (pencil, _) = inputs, pencil
+    companion = ",".join(map(str, range(m - 1, -1, -1)))
+    folder = tmp_path_factory.mktemp("fuzz")
+    path = write(folder, "doc.json", doc)
+    ppath = write(folder, "pencil.json", pencil)
+    commands = [
+        ["build", "--input", path],
+        ["zeros", "--input", path],
+        ["zeros", "--input", path, "--backend", "numeric"],
+        ["verify", "--input", path, f"--sigma={sigma}"],
+        ["verify", "--input", path, "--all"],
+        ["verify", "--input", path, f"--sigma={companion}", "--pencil", ppath],
+        ["smith", "--input", path],
+        ["realize", "--input", path],
+        ["ciss", f"--sigma={sigma}"],
+    ]
+    for argv in commands:
+        first = _main_quietly(argv)
+        assert first[0] in {0, 2, 3, 4, 5, 6}, (argv, first)
+        assert _main_quietly(argv) == first, argv

@@ -350,3 +350,48 @@ def test_step_two_failure_is_shared_by_sigmas_with_its_order(monkeypatch):
     for sigma in (first, later):
         fresh.append(failure(rand_system(random.Random(197), 1, 1, 4), sigma))
     assert warm == fresh
+
+
+# --- structural facts the certificate no longer recomputes ------------------------
+
+def _one_sigma_per_flag_pattern(m):
+    """One bijection for each consecution pattern of steps 1..m-1."""
+    patterns = {}
+    for perm in permutations(range(m)):
+        sigma = Bijection(perm)
+        flags = tuple([sigma.has_consecution_at(m - i - 1) for i in range(1, m)])
+        patterns.setdefault(flags, sigma)
+    return patterns
+
+
+@settings(max_examples=25, deadline=None)
+@given(exact_systems())
+def test_step_matrices_fix_unimodularity_and_the_state_block(sys):
+    # the facts behind c = 1: Q-type steps have det 1, R-type (-1)^n, and
+    # every step keeps I_r on the state block with a zero border
+    n, r, m = sys.n, sys.r, sys.m
+    core = n * m
+    one, zero = ONE, Poly.zero()
+    patterns = _one_sigma_per_flag_pattern(m)
+    assert len(patterns) == 2 ** (m - 1)
+    for flags, sigma in patterns.items():
+        cert = build_certificate(sys, sigma)
+        lefts = list(reversed(cert.u_factors))
+        for i, (consecution, left, right) in enumerate(zip(flags, lefts, cert.v_factors), 1):
+            want = (("Q", i, True), ("R", i, False))
+            if not consecution:
+                want = (("R", i, True), ("Q", i, False))
+            assert (left, right) == want, (flags, i)
+            for kind, idx, transposed in (left, right):
+                det = poly_matrix_det(_step_matrix(sys, kind, idx, transposed))
+                assert det == Poly.constant(1 if kind == "Q" else (-1) ** n), (flags, i, kind)
+        det_u, det_v = poly_matrix_det(cert.U), poly_matrix_det(cert.V)
+        assert det_u.degree == 0 and det_v.degree == 0, flags
+        assert det_u * det_v == Poly.constant((-1) ** ((m - 1) * n)), flags
+        for mat in (cert.U, cert.V):
+            for a in range(r):
+                for b in range(r):
+                    assert mat.entries[core + a][core + b] == (one if a == b else zero)
+                for k in range(core):
+                    assert mat.entries[core + a][k].is_zero, flags
+                    assert mat.entries[k][core + a].is_zero, flags

@@ -283,6 +283,22 @@ def test_system_block_transpose_involution():
         assert system_block_transpose(system_block_transpose(p)) == p
 
 
+@settings(max_examples=25, deadline=None)
+@given(_exact_systems())
+def test_block_transpose_reverses_sigma(sys):
+    # the pencil of the reversed product order is the block transpose, with
+    # the B-row and C-column blocks swapped (C_2 = C_1^B for the companions)
+    for perm in permutations(range(sys.m)):
+        p = pencil_algorithm1(sys, Bijection(perm))
+        bt = system_block_transpose(p)
+        reverse = pencil_algorithm1(sys, Bijection(perm[::-1]))
+        assert bt == reverse, perm
+        assert (bt.b_row_block, bt.c_col_block) == (reverse.b_row_block, reverse.c_col_block)
+        back = system_block_transpose(bt)
+        assert back == p, perm
+        assert (back.b_row_block, back.c_col_block) == (p.b_row_block, p.c_col_block)
+
+
 def test_system_block_transpose_r0_matches_polymat():
     rng = random.Random(83)
     sys = rand_system(rng, 2, 0, 3)

@@ -1,6 +1,8 @@
 """Static checks on the library source."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import rosepen
@@ -92,3 +94,19 @@ c = lcm(*(x for x in y))
 d = lcm(*[x for x in y])
 """
     assert _tuples_from_generators(ast.parse(source)) == [2, 4]
+
+
+def test_benchmark_layer_map_names_existing_functions():
+    # the benchmark's traced run wraps every function that perfbench/spans.py
+    # lists in LAYERS; renaming or deleting one must fail here first
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    named = [(module, fn) for module, fns in spans.LAYERS.values() for fn in fns]
+    missing = [
+        f"{module}.{fn}"
+        for module, fn in named
+        if not callable(getattr(importlib.import_module(module), fn, None))
+    ]
+    assert len(named) > 20 and missing == []
