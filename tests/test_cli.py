@@ -288,19 +288,25 @@ def test_verify_rejects_non_integer_max_m_env(tmp_path, capsys, monkeypatch):
 
 
 def test_verify_all_computes_det_s_once(tmp_path, capsys, monkeypatch):
+    # m = 4: det S is the one determinant, counted wherever the function is
+    # bound; the step determinants are fixed by the construction (see
+    # test_equivalence's structural property)
     calls = []
 
     def counting_det(matrix):
         calls.append(matrix)
         return poly_matrix_det(matrix)
 
-    poly_matrix_det = system.poly_matrix_det
-    monkeypatch.setattr(system, "poly_matrix_det", counting_det)
-    doc = {"P": [[[1, 2, 0, 1]]], "A": [[3]], "E": [[1]], "B": [[2]], "C": [[1]]}
+    poly_matrix_det = polymat.poly_matrix_det
+    for name, mod in list(_sys.modules.items()):
+        if name.startswith("rosepen") and getattr(mod, "poly_matrix_det", None) is poly_matrix_det:
+            monkeypatch.setattr(mod, "poly_matrix_det", counting_det)
+    doc = {"P": [[[1, 2, 0, 1, 1]]], "A": [[3]], "E": [[1]], "B": [[2]], "C": [[1]]}
     path = write(tmp_path, "sys.json", doc)
     code, out, _ = run(capsys, "verify", "--input", path, "--all")
-    assert code == 0 and len(calls) == 1
-    assert all(r["det_constant"] is not None for r in json.loads(out)["results"])
+    results = json.loads(out)["results"]
+    assert code == 0 and len(results) == 24 and len(calls) == 1
+    assert all(r["det_constant"] == 1 for r in results)
 
     # a failing certificate gets no constant and computes no det S
     desk1 = write(tmp_path, "desk1.json", DESK1_JSON)
@@ -600,27 +606,6 @@ def test_verify_forged_pencil_after_a_passing_sweep(tmp_path, capsys):
     assert result["det_constant"] is None
 
 
-def test_verify_all_computes_only_det_s(tmp_path, capsys, monkeypatch):
-    # m = 4: det S is the one determinant; the step determinants are fixed
-    # by the construction (test_equivalence's structural property)
-    calls = []
-    original = polymat.poly_matrix_det
-
-    def counting_det(matrix):
-        calls.append(matrix.rows)
-        return original(matrix)
-
-    for name, mod in list(_sys.modules.items()):
-        if name.startswith("rosepen") and getattr(mod, "poly_matrix_det", None) is original:
-            monkeypatch.setattr(mod, "poly_matrix_det", counting_det)
-    doc = {"P": [[[1, 2, 0, 1, 1]]], "A": [[3]], "E": [[1]], "B": [[2]], "C": [[1]]}
-    code, out, _ = run(capsys, "verify", "--input", write(tmp_path, "s.json", doc), "--all")
-    results = json.loads(out)["results"]
-    assert code == 0 and len(results) == 24
-    assert all(r["det_constant"] == 1 for r in results)
-    assert calls == [2]  # S is (n + r) x (n + r)
-
-
 @pytest.mark.parametrize("shape", [(2, 0, 2), (1, 2, 2), (1, 0, 2), (1, 0, 3)])
 def test_verify_pencil_of_another_shape_is_a_parse_error(tmp_path, capsys, shape):
     # the (1, 1, 2) system against pencils of other (n, r, m); (1, 0, 3) has
@@ -825,17 +810,19 @@ def _mutated(draw, value):
 def _fuzz_documents(draw):
     """(document, m): junk JSON, or an encoded system, REP spec or pencil,
     each intact or with some part replaced by junk, and the degree of the
-    system it came from (2 for junk)."""
+    system it came from (2 for the others)."""
     kind = draw(st.sampled_from(["junk", "system", "system", "spec", "pencil"]))
     if kind == "junk":
         return draw(_FUZZ_JSON), 2
+    m = 2
     if kind == "spec":
-        return draw(_mutated(rio.encode_rep_spec(draw(rep_specs())))), 2
-    sys = draw(exact_systems())
-    doc = rio.encode_system(sys)
-    if kind == "pencil":
-        doc = rio.encode_pencil(pencil_algorithm1(sys, Bijection.first_companion_order(sys.m)))
-    return (draw(_mutated(doc)) if draw(st.integers(0, 2)) == 0 else doc), sys.m
+        doc = rio.encode_rep_spec(draw(rep_specs()))
+    else:
+        sys = draw(exact_systems())
+        m, doc = sys.m, rio.encode_system(sys)
+        if kind == "pencil":
+            doc = rio.encode_pencil(pencil_algorithm1(sys, Bijection.first_companion_order(m)))
+    return (draw(_mutated(doc)) if draw(st.integers(0, 2)) == 0 else doc), m
 
 
 def _main_quietly(argv):

@@ -354,25 +354,16 @@ def test_step_two_failure_is_shared_by_sigmas_with_its_order(monkeypatch):
 
 # --- structural facts the certificate no longer recomputes ------------------------
 
-def _one_sigma_per_flag_pattern(m):
-    """One bijection for each consecution pattern of steps 1..m-1."""
-    patterns = {}
-    for perm in permutations(range(m)):
-        sigma = Bijection(perm)
-        flags = tuple([sigma.has_consecution_at(m - i - 1) for i in range(1, m)])
-        patterns.setdefault(flags, sigma)
-    return patterns
-
-
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=50, deadline=None)
 @given(exact_systems())
 def test_step_matrices_fix_unimodularity_and_the_state_block(sys):
     # the facts behind c = 1: Q-type steps have det 1, R-type (-1)^n, and
     # every step keeps I_r on the state block with a zero border
     n, r, m = sys.n, sys.r, sys.m
     core = n * m
-    one, zero = ONE, Poly.zero()
-    patterns = _one_sigma_per_flag_pattern(m)
+    patterns = {}  # one sigma per consecution pattern of steps 1..m-1
+    for perm in permutations(range(m)):
+        patterns.setdefault(equivalence._consecution_flags(Bijection(perm)), Bijection(perm))
     assert len(patterns) == 2 ** (m - 1)
     for flags, sigma in patterns.items():
         cert = build_certificate(sys, sigma)
@@ -391,7 +382,7 @@ def test_step_matrices_fix_unimodularity_and_the_state_block(sys):
         for mat in (cert.U, cert.V):
             for a in range(r):
                 for b in range(r):
-                    assert mat.entries[core + a][core + b] == (one if a == b else zero)
+                    assert mat.entries[core + a][core + b] == (ONE if a == b else Poly.zero())
                 for k in range(core):
                     assert mat.entries[core + a][k].is_zero, flags
                     assert mat.entries[k][core + a].is_zero, flags
