@@ -5,6 +5,11 @@ mode and `float` in float mode; nothing here ever mixes the two.  numpy only
 enters through the float-mode rank helper, all exact work stays in pure
 Python so equality is decidable.
 
+`embed` is the one layout of every (nm + r)-square structured matrix of the
+construction, on scalar and `Poly` entries alike: the Fiedler factors and
+their inverses, the step matrices and target of the equivalence chain, and
+S(lam).  `embedded_block_transpose` is the block transpose of any of them.
+
 Across the package a tuple is built from a list, ``tuple([... for ...])``,
 never from a generator.  CPython sizes a tuple built from a generator at a
 guess of ten and shrinks it, and each shrunk tuple freed stays on the
@@ -127,6 +132,54 @@ def from_blocks(blocks):
     return tuple(out)
 
 
+def embed(n, m, blocks, corner, zero, c_col=None, b_row=None):
+    """The (nm + r)-square grid, r = len(corner), holding `blocks` and the
+    state corner, with `zero` everywhere else.
+
+    `blocks` maps 1-based block positions (bi, bj) to grids placed with
+    their top-left entry at the top-left of that block; a grid larger than
+    n x n spans the blocks after it.  `corner` is the r x r state block.
+    `c_col` = (bi, C) puts the n x r grid C in block row bi of the state
+    columns, and `b_row` = (bj, B) the r x n grid B in block column bj of
+    the state rows.  Entries are copied as they are, so the same layout
+    serves scalar and `Poly` grids.
+    """
+    nm = n * m
+    size = nm + len(corner)
+    out = [[zero] * size for _ in range(size)]
+    placed = [((bi - 1) * n, (bj - 1) * n, grid) for (bi, bj), grid in blocks.items()]
+    placed.append((nm, nm, corner))
+    if c_col is not None:
+        placed.append(((c_col[0] - 1) * n, nm, c_col[1]))
+    if b_row is not None:
+        placed.append((nm, (b_row[0] - 1) * n, b_row[1]))
+    for top, left, grid in placed:
+        for a, row in enumerate(grid):
+            out[top + a][left : left + len(row)] = row
+    return freeze(out)
+
+
+def embedded_block_transpose(grid, n, m, b_row, c_col, zero):
+    """The system block transpose of an `embed` layout whose B-row sits in
+    block column `b_row` and whose C-column in block row `c_col`: block
+    (bi, bj) of the nm part moves to (bj, bi) as it is, the state corner
+    stays, the C-column moves to block row `b_row` and the B-row to block
+    column `c_col`.  Entries outside those places are not read."""
+    nm = n * m
+
+    def block_row(bi):
+        return grid[(bi - 1) * n : bi * n]
+
+    def block_col(rows, bj):
+        return [row[(bj - 1) * n : bj * n] for row in rows]
+
+    ks = range(1, m + 1)
+    blocks = {(bj, bi): block_col(block_row(bi), bj) for bi in ks for bj in ks}
+    corner = [row[nm:] for row in grid[nm:]]
+    c_grid = [row[nm:] for row in block_row(c_col)]
+    return embed(n, m, blocks, corner, zero, (b_row, c_grid), (c_col, block_col(grid[nm:], b_row)))
+
+
 def submatrix(a, drop_row, drop_col):
     return tuple([
         tuple([x for j, x in enumerate(row) if j != drop_col])
@@ -215,9 +268,9 @@ def to_float_array(a):
     return np.array([[float(x) for x in row] for row in a], dtype=float)
 
 
-def rank_float(a, rtol=None):
+def rank_float(a):
     """Numerical rank: singular values below max(dims) * eps * sigma_1 count
-    as zero (eps = 2**-52) unless an explicit relative tolerance is given."""
+    as zero (eps = 2**-52)."""
     import numpy as np
 
     m = to_float_array(a)
@@ -226,6 +279,4 @@ def rank_float(a, rtol=None):
     s = np.linalg.svd(m, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    if rtol is None:
-        rtol = max(m.shape) * 2.0 ** -52
-    return int((s > rtol * s[0]).sum())
+    return int((s > max(m.shape) * 2.0 ** -52 * s[0]).sum())

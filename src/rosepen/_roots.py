@@ -174,7 +174,7 @@ def cluster(values, tol=MATCH_TOL):
     return [(g[0] / g[1], g[1]) for g in groups]
 
 
-def all_roots(p, tol=MATCH_TOL):
+def all_roots(p):
     """Roots with multiplicities: exact Fractions where possible, complex
     floats for the rest."""
     if p.is_zero:
@@ -182,6 +182,6 @@ def all_roots(p, tol=MATCH_TOL):
     if p.mode == EXACT:
         found, rest = rational_roots(p)
         out = list(found)
-        out.extend(cluster(numeric_roots(rest), tol))
+        out.extend(cluster(numeric_roots(rest)))
         return out
-    return cluster(numeric_roots(p), tol)
+    return cluster(numeric_roots(p))

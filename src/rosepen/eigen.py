@@ -21,7 +21,6 @@ from ._linalg import EXACT
 from ._roots import MATCH_TOL
 from .fiedler import Bijection, pencil_algorithm1, pencil_direct
 from .polymat import (
-    Poly,
     _root_multiplicity,
     poly_gcd,
     poly_matrix_det,
@@ -34,7 +33,7 @@ from .system import (
     SingularStateError,
     is_minimal,
     realize,
-    state_pencil,
+    state_det,
     system_det,
     transfer_function,
 )
@@ -82,7 +81,7 @@ def pencil_determinant(pencil):
     return poly_matrix_det(pencil.as_poly_matrix())
 
 
-def solve_gep(pencil, backend="exact", tol=MATCH_TOL):
+def solve_gep(pencil, backend="exact"):
     """Finite eigenvalues of a system pencil.
 
     backend="exact": roots of the exact determinant polynomial (rational
@@ -93,7 +92,7 @@ def solve_gep(pencil, backend="exact", tol=MATCH_TOL):
         det = pencil_determinant(pencil)
         if det.is_zero:
             return GepResult((), _lead_singular(pencil), True, backend, det)
-        eigs = tuple(_roots.all_roots(det, tol))
+        eigs = tuple(_roots.all_roots(det))
         return GepResult(eigs, _lead_singular(pencil), False, backend, det)
     if backend != "numeric":
         raise ValueError("backend must be 'exact' or 'numeric'")
@@ -116,7 +115,7 @@ def solve_gep(pencil, backend="exact", tol=MATCH_TOL):
     if degenerate > 0:
         # singular pencil: whatever else the QZ sweep produced is noise
         return GepResult((), infinite, True, backend)
-    return GepResult(tuple(_roots.cluster(finite, tol)), infinite, False, backend)
+    return GepResult(tuple(_roots.cluster(finite)), infinite, False, backend)
 
 
 def _lead_singular(pencil):
@@ -125,12 +124,12 @@ def _lead_singular(pencil):
     return _linalg.rank_float(pencil.lead) < pencil.size
 
 
-def eig_eip_split(zero_poly, pole_poly, tol=MATCH_TOL):
+def eig_eip_split(zero_poly, pole_poly):
     """Partition the roots of the zero polynomial by whether they are also
     roots of the pole polynomial: (eigenvalues, eigenpoles).
 
     Exact mode decides membership through gcd(zero_poly, pole_poly); float
-    mode matches numeric root sets with the scale-relative tolerance.
+    mode matches numeric root sets with the scale-relative `MATCH_TOL`.
     """
     zero_poly = zero_poly.monic()
     pole_poly = pole_poly.monic()
@@ -139,25 +138,25 @@ def eig_eip_split(zero_poly, pole_poly, tol=MATCH_TOL):
     if zero_poly.mode == EXACT and pole_poly.mode == EXACT:
         common = poly_gcd(zero_poly, pole_poly)
         eip_roots = (
-            [v for v, _ in _roots.all_roots(common, tol)] if common.degree > 0 else []
+            [v for v, _ in _roots.all_roots(common)] if common.degree > 0 else []
         )
         eig = []
-        for v, _ in _roots.all_roots(zero_poly, tol):
+        for v, _ in _roots.all_roots(zero_poly):
             if isinstance(v, Fraction):
                 shared = common(v) == 0
             else:
-                shared = any(_roots.close(v, w, tol) for w in eip_roots)
+                shared = any(_roots.close(v, w) for w in eip_roots)
             if not shared:
                 eig.append(v)
         return eig, eip_roots
-    zeros = [v for v, _ in _roots.all_roots(zero_poly, tol)]
+    zeros = [v for v, _ in _roots.all_roots(zero_poly)]
     poles = (
-        [v for v, _ in _roots.all_roots(pole_poly, tol)]
+        [v for v, _ in _roots.all_roots(pole_poly)]
         if pole_poly.degree > 0
         else []
     )
-    eig = [v for v in zeros if not any(_roots.close(v, p, tol) for p in poles)]
-    eip = [v for v in zeros if any(_roots.close(v, p, tol) for p in poles)]
+    eig = [v for v in zeros if not any(_roots.close(v, p) for p in poles)]
+    eip = [v for v in zeros if any(_roots.close(v, p) for p in poles)]
     return eig, eip
 
 
@@ -228,17 +227,17 @@ def _abs2_at(p, x, y):
     return re * re + im * im
 
 
-def _is_pole_value(value, pole_poly, pole_roots, tol):
-    if isinstance(value, Fraction) and pole_poly is not None:
+def _is_pole_value(value, pole_poly, pole_roots):
+    if isinstance(value, Fraction):
         return pole_poly(value) == 0
-    return any(_roots.close(value, p, tol) for p in pole_roots)
+    return any(_roots.close(value, p) for p in pole_roots)
 
 
 class CertificateMismatch(RuntimeError):
     """Internal consistency failure between a pencil and its system."""
 
 
-def classify_zeros(sys, sigma=None, backend="exact", pencil=None, tol=MATCH_TOL):
+def classify_zeros(sys, sigma=None, backend="exact", pencil=None):
     """Full zero report for a system: invariant zeros from a Fiedler pencil
     (first companion by default), poles from the state pencil, eigenpoles
     as the intersection, plus multiplicity indices from the Smith-McMillan
@@ -249,8 +248,10 @@ def classify_zeros(sys, sigma=None, backend="exact", pencil=None, tol=MATCH_TOL)
     eigenvalues are then invariant zeros of the realization, not
     necessarily zeros of the transfer function.
 
-    `tol` reaches root clustering and zero-pole matching only; multiplicity
-    indices locate a numeric zero with a fixed 1e-6 relative cut.
+    Root clustering and zero-pole matching use the scale-relative
+    `MATCH_TOL`; multiplicity indices locate a numeric zero with a fixed
+    1e-6 relative cut.  det(lam*E - A) is the system's memoised
+    `state_det`, which `transfer_function` shares.
     """
     if not sys.e_is_nonsingular():
         raise SingularStateError("E is singular")
@@ -266,7 +267,7 @@ def classify_zeros(sys, sigma=None, backend="exact", pencil=None, tol=MATCH_TOL)
         "the realization and may differ from the zeros of G"
     )
 
-    gep = solve_gep(pencil, backend=backend, tol=tol)
+    gep = solve_gep(pencil, backend=backend)
     if gep.singular:
         return ZeroReport(
             zeros=(),
@@ -281,16 +282,12 @@ def classify_zeros(sys, sigma=None, backend="exact", pencil=None, tol=MATCH_TOL)
         )
 
     if backend == "exact":
-        if sys.r > 0:
-            state_det = poly_matrix_det(state_pencil(sys)).monic()
-        else:
-            state_det = Poly.one()
-        pole_root_list = (
-            _roots.all_roots(state_det, tol) if state_det.degree > 0 else []
+        pole_poly = state_det(sys).monic()
+        pole_roots = (
+            [v for v, _ in _roots.all_roots(pole_poly)] if pole_poly.degree > 0 else []
         )
-        pole_roots = [v for v, _ in pole_root_list]
         sm = smith_mcmillan(transfer_function(sys))
-        phi_g, psi_g = zero_pole_polys(sm)
+        psi_g = zero_pole_polys(sm)[1]
 
         q, rem = divmod(gep.det_poly, system_det(sys))
         if not rem.is_zero or q.degree != 0:
@@ -301,7 +298,7 @@ def classify_zeros(sys, sigma=None, backend="exact", pencil=None, tol=MATCH_TOL)
 
         zeros = []
         for value, _mult in gep.eigenvalues:
-            is_pole = _is_pole_value(value, state_det, pole_roots, tol)
+            is_pole = _is_pole_value(value, pole_poly, pole_roots)
             ind_phi = _index_for_value(sm.numerators, value)
             ind_psi = (
                 _index_for_value(tuple(reversed(sm.denominators)), value)
@@ -318,7 +315,7 @@ def classify_zeros(sys, sigma=None, backend="exact", pencil=None, tol=MATCH_TOL)
             )
         poles = []
         if psi_g.degree > 0:
-            for value, _mult in _roots.all_roots(psi_g, tol):
+            for value, _mult in _roots.all_roots(psi_g):
                 poles.append(
                     PoleEntry(
                         value=value,
@@ -351,22 +348,23 @@ def classify_zeros(sys, sigma=None, backend="exact", pencil=None, tol=MATCH_TOL)
     else:
         pole_roots = []
     # QZ splits a defective pole of multiplicity k into copies about
-    # eps**(1/k) apart, which can leave a zero on that pole farther than tol
-    # from every copy.  The mean of the copies stays accurate, so zeros are
-    # also matched against the means of poles grouped within sqrt(tol).
+    # eps**(1/k) apart, which can leave a zero on that pole farther than
+    # MATCH_TOL from every copy.  The mean of the copies stays accurate, so
+    # zeros are also matched against the means of poles grouped within
+    # sqrt(MATCH_TOL).
     targets = pole_roots + [
-        c for c, k in _roots.cluster(pole_roots, tol**0.5) if k > 1
+        c for c, k in _roots.cluster(pole_roots, MATCH_TOL**0.5) if k > 1
     ]
     zeros = []
     for value, _mult in gep.eigenvalues:
-        is_pole = any(_roots.close(value, p, tol) for p in targets)
+        is_pole = any(_roots.close(value, p) for p in targets)
         zeros.append(
             ZeroEntry(
                 value=value,
                 classification=EIGENPOLE if is_pole else EIGENVALUE,
             )
         )
-    poles = tuple([PoleEntry(value=v) for v, _ in _roots.cluster(pole_roots, tol)])
+    poles = tuple([PoleEntry(value=v) for v, _ in _roots.cluster(pole_roots)])
     return ZeroReport(
         zeros=tuple(zeros),
         poles=poles,
@@ -379,7 +377,7 @@ def classify_zeros(sys, sigma=None, backend="exact", pencil=None, tol=MATCH_TOL)
     )
 
 
-def solve_rep(spec, sigma=None, backend="exact", tol=MATCH_TOL):
+def solve_rep(spec, sigma=None, backend="exact"):
     """Direct method for a rational eigenproblem: realize the spec in
     state-space form, build a Fiedler pencil by the splicing construction
     (the product for m = 1), solve the GEP, classify.
@@ -396,7 +394,7 @@ def solve_rep(spec, sigma=None, backend="exact", tol=MATCH_TOL):
         pencil = pencil_algorithm1(sys, sigma)
     else:
         pencil = pencil_direct(sys, sigma)
-    report = classify_zeros(sys, sigma=sigma, backend=backend, pencil=pencil, tol=tol)
+    report = classify_zeros(sys, sigma=sigma, backend=backend, pencil=pencil)
     if not report.minimal:
         warnings.warn(
             "realization is not minimal; reported zeros are invariant zeros"

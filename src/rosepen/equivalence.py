@@ -26,6 +26,10 @@ residual, the last product minus the target, is the same for every sigma
 and formed once per system.  The pencil, when not given, is spliced by
 Algorithm 1 (`pencil_algorithm1`), with no factor product.
 
+Q_i, R_i, T_i, D_i and the target are laid out by `_linalg.embed` from
+their core blocks and block positions, and block transposed by
+`_linalg.embedded_block_transpose`, as the pencils are.
+
 Everything here is exact-mode only: the certificate is a proof artifact and
 float residuals prove nothing.
 """
@@ -35,10 +39,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import reduce
 
+from . import _linalg
 from ._linalg import EXACT
 from .fiedler import _factor_grid, pencil_algorithm1
 from .polymat import Poly, PolyMatrix, horner_shift
-from .system import assemble_system_matrix
+from .system import _system_layout
 
 __all__ = [
     "AuxMatrix",
@@ -83,141 +88,70 @@ def _require_exact(sys):
         raise ValueError("equivalence certificates require exact mode")
 
 
-def _block_entries(n, m, mode):
-    zero = Poly.zero(mode)
-    return [[zero for _ in range(n * m)] for _ in range(n * m)]
-
-
-def _set_block(entries, n, bi, bj, block):
-    for a in range(n):
-        for b in range(n):
-            entries[(bi - 1) * n + a][(bj - 1) * n + b] = block[a][b]
-
-
-def _eye_block(n, mode):
-    one = Poly.one(mode)
-    zero = Poly.zero(mode)
-    return [[one if a == b else zero for b in range(n)] for a in range(n)]
-
-
-def _poly_core(sys, kind, i):
-    """The nm x nm polynomial part of the auxiliary matrix."""
-    n, m = sys.n, sys.m
-    mode = sys.mode
-    lam = Poly.lam(mode)
-    entries = _block_entries(n, m, mode)
-    eye = _eye_block(n, mode)
-    lam_eye = [[lam if a == b else Poly.zero(mode) for b in range(n)] for a in range(n)]
-
-    if kind == "D":
-        if not 1 <= i <= m:
-            raise ValueError(f"D index {i} out of range 1..{m}")
-        shift = horner_shift(sys.P, i - 1)
-        if i == m:
-            _set_block(entries, n, m, m, shift.entries)
-            return PolyMatrix(entries)
-        _set_block(entries, n, i, i, shift.entries)
-        _set_block(entries, n, i + 1, i + 1, eye)
-        for bk in range(i + 2, m + 1):
-            _set_block(entries, n, bk, bk, eye)
-        return PolyMatrix(entries)
-
-    if not 1 <= i <= m - 1:
-        raise ValueError(f"{kind} index {i} out of range 1..{m - 1}")
-    for bk in range(1, m + 1):
-        if bk not in (i, i + 1):
-            _set_block(entries, n, bk, bk, eye)
-
-    if kind == "Q":
-        _set_block(entries, n, i, i, eye)
-        _set_block(entries, n, i + 1, i + 1, eye)
-        _set_block(entries, n, i, i + 1, lam_eye)
-        return PolyMatrix(entries)
-
-    if kind == "R":
-        shift = horner_shift(sys.P, i)
-        _set_block(entries, n, i, i + 1, eye)
-        _set_block(entries, n, i + 1, i, eye)
-        _set_block(entries, n, i + 1, i + 1, shift.entries)
-        return PolyMatrix(entries)
-
-    if kind == "T":
-        shift = horner_shift(sys.P, i - 1)
-        for bk in range(1, m + 1):
-            if bk not in (i, i + 1):
-                _set_block(entries, n, bk, bk, [[Poly.zero(mode)] * n for _ in range(n)])
-        _set_block(entries, n, i, i + 1, shift.scale(lam).entries)
-        _set_block(entries, n, i + 1, i, lam_eye)
-        _set_block(entries, n, i + 1, i + 1, shift.scale(lam * lam).entries)
-        return PolyMatrix(entries)
-
-    raise ValueError("kind must be one of Q, R, T, D")
-
-
-def _append_state_block(core, sys, corner):
-    """diag(core, corner) where corner is I_r, 0_r, or -E as a PolyMatrix."""
-    if sys.r == 0:
-        return core
-    n, r, m = sys.n, sys.r, sys.m
-    mode = sys.mode
-    zero = Poly.zero(mode)
-    size = n * m + r
-    entries = [[zero] * size for _ in range(size)]
-    for a in range(n * m):
-        for b in range(n * m):
-            entries[a][b] = core.entries[a][b]
-    for a in range(r):
-        for b in range(r):
-            entries[n * m + a][n * m + b] = corner[a][b]
-    return PolyMatrix(entries)
+def _diag(p, k):
+    """The k x k grid with the Poly p on its diagonal."""
+    zero = Poly.zero(p.mode)
+    return [[p if a == b else zero for b in range(k)] for a in range(k)]
 
 
 def aux_matrix(sys, kind, i):
     """Auxiliary system polynomial: Q and R get an I_r state block, T gets
-    0_r and D gets -E.  D_1 coincides with the leading Fiedler factor."""
+    0_r and D gets -E.  D_1 coincides with the leading Fiedler factor.
+
+    The n x n blocks, 1-based: Q_i is I with lam*I at (i, i+1); R_i is I
+    but for [[0, I], [I, P_i]] at blocks i, i+1; T_i is zero but for
+    [[0, lam*P_{i-1}], [lam*I, lam^2*P_{i-1}]] there; D_i has P_{i-1} at
+    (i, i), I after it and zero before.  P_k is the degree-k Horner shift.
+    """
     _require_exact(sys)
-    r, mode = sys.r, sys.mode
-    core = _poly_core(sys, kind, i)
-    if kind in ("Q", "R"):
-        corner = _eye_block(r, mode)
+    n, r, m, mode = sys.n, sys.r, sys.m, sys.mode
+    if kind == "D":
+        if not 1 <= i <= m:
+            raise ValueError(f"D index {i} out of range 1..{m}")
+    elif not 1 <= i <= m - 1:
+        raise ValueError(f"{kind} index {i} out of range 1..{m - 1}")
+    lam, one = Poly.lam(mode), Poly.one(mode)
+    eye = _diag(one, n)
+    if kind == "D":
+        blocks = {(k, k): eye for k in range(i + 1, m + 1)}
+        blocks[(i, i)] = horner_shift(sys.P, i - 1).entries
+        corner = [[Poly.constant(-x, mode) for x in row] for row in sys.E]
+    elif kind in ("Q", "R"):
+        blocks = {(k, k): eye for k in range(1, m + 1)}
+        if kind == "Q":
+            blocks[(i, i + 1)] = _diag(lam, n)
+        else:
+            del blocks[(i, i)]
+            blocks[(i, i + 1)] = blocks[(i + 1, i)] = eye
+            blocks[(i + 1, i + 1)] = horner_shift(sys.P, i).entries
+        corner = _diag(one, r)
     elif kind == "T":
-        corner = [[Poly.zero(mode)] * r for _ in range(r)]
+        shift = horner_shift(sys.P, i - 1)
+        blocks = {
+            (i, i + 1): shift.scale(lam).entries,
+            (i + 1, i): _diag(lam, n),
+            (i + 1, i + 1): shift.scale(lam * lam).entries,
+        }
+        corner = _diag(Poly.zero(mode), r)
     else:
-        corner = [[Poly.constant(-sys.E[a][b], mode) for b in range(r)] for a in range(r)]
-    return AuxMatrix(kind, i, _append_state_block(core, sys, corner))
-
-
-def _system_block_transpose_poly(matrix, n, r, m):
-    """Block transpose of a system polynomial whose B-row and C-column are
-    identically zero (all auxiliary matrices are of this shape)."""
-    zero = Poly.zero(matrix.mode)
-    size = n * m + r
-    for a in range(n * m):
-        for k in range(r):
-            if not matrix.entries[a][n * m + k].is_zero:
-                raise ValueError("nonzero C-column; use the pencil-level block transpose")
-    for k in range(r):
-        for b in range(n * m):
-            if not matrix.entries[n * m + k][b].is_zero:
-                raise ValueError("nonzero B-row; use the pencil-level block transpose")
-    entries = [[zero] * size for _ in range(size)]
-    for bi in range(m):
-        for bj in range(m):
-            for a in range(n):
-                for b in range(n):
-                    entries[bj * n + a][bi * n + b] = matrix.entries[bi * n + a][bj * n + b]
-    for a in range(r):
-        for b in range(r):
-            entries[n * m + a][n * m + b] = matrix.entries[n * m + a][n * m + b]
-    return PolyMatrix(entries)
+        raise ValueError("kind must be one of Q, R, T, D")
+    return AuxMatrix(kind, i, PolyMatrix(_linalg.embed(n, m, blocks, corner, Poly.zero(mode))))
 
 
 def aux_block_transpose(aux, sys):
+    """The system block transpose of an auxiliary matrix, whose C-column and
+    B-row are identically zero."""
+    n, m = sys.n, sys.m
+    nm = n * m
+    entries = aux.matrix.entries
+    if any(not e.is_zero for row in entries[:nm] for e in row[nm:]):
+        raise ValueError("nonzero C-column; use the pencil-level block transpose")
+    if any(not e.is_zero for row in entries[nm:] for e in row[:nm]):
+        raise ValueError("nonzero B-row; use the pencil-level block transpose")
+    # a zero border reads the same at any block, so it stays at block m
+    grid = _linalg.embedded_block_transpose(entries, n, m, m, m, Poly.zero(sys.mode))
     return AuxMatrix(
-        aux.kind,
-        aux.index,
-        _system_block_transpose_poly(aux.matrix, sys.n, sys.r, sys.m),
-        block_transposed=not aux.block_transposed,
+        aux.kind, aux.index, PolyMatrix(grid), block_transposed=not aux.block_transposed
     )
 
 
@@ -358,20 +292,10 @@ def intermediate_pencil(sys, sigma, j):
 
 
 def _target(sys):
-    """diag(-I_{(m-1)n}, S(lam)) as one PolyMatrix."""
-    n, r, m = sys.n, sys.r, sys.m
-    mode = sys.mode
-    s = assemble_system_matrix(sys)
-    size = n * m + r
-    zero = Poly.zero(mode)
-    entries = [[zero] * size for _ in range(size)]
-    lead = (m - 1) * n
-    for a in range(lead):
-        entries[a][a] = Poly.constant(-1, mode)
-    for a in range(n + r):
-        for b in range(n + r):
-            entries[lead + a][lead + b] = s.entries[a][b]
-    return PolyMatrix(entries)
+    """diag(-I_{(m-1)n}, S(lam)) as one PolyMatrix: S laid out at block m."""
+    minus_eye = _diag(Poly.constant(-1, sys.mode), sys.n)
+    blocks = {(k, k): minus_eye for k in range(1, sys.m)}
+    return PolyMatrix(_system_layout(sys, sys.m, blocks))
 
 
 @dataclass(frozen=True)

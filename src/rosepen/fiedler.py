@@ -11,6 +11,10 @@ where the single B-row and C-column land in the assembled pencil.
 Three construction routes are provided and must agree entrywise: the direct
 factor product, the row/column splicing algorithm, and the block formula
 that borders a classical Fiedler pencil of P.
+
+The factors, their closed-form inverses, the border of the block formula
+and the system block transpose are laid out by `_linalg.embed`: this module
+says only which n x n blocks, state corner and border each one holds.
 """
 
 from __future__ import annotations
@@ -142,116 +146,71 @@ class FiedlerFactor:
         return self.n * self.m + self.r
 
 
-def _classical_factor(sys, i):
-    """The nm x nm Fiedler factor of P alone."""
-    n, m = sys.n, sys.m
-    mode = sys.mode
+def _factor_blocks(sys, i):
+    """The n x n blocks of M_i: the identity on the block diagonal but for
+    -A_0 in block m (index 0), A_m in block 1 (index m), or the core
+    [[-A_i, I], [I, 0]] at blocks m - i, m - i + 1 (otherwise)."""
+    n, m, mode = sys.n, sys.m, sys.mode
     if i == 0:
-        return _linalg.from_blocks(
-            [
-                [_linalg.eye((m - 1) * n, mode), _linalg.zeros((m - 1) * n, n, mode)],
-                [_linalg.zeros(n, (m - 1) * n, mode), _linalg.neg(sys.coefficient(0))],
-            ]
-        )
+        return _identity_but(n, m, {(m, m): _linalg.neg(sys.coefficient(0))}, mode)
     if i == m:
-        return _linalg.from_blocks(
-            [
-                [sys.coefficient(m), _linalg.zeros(n, (m - 1) * n, mode)],
-                [_linalg.zeros((m - 1) * n, n, mode), _linalg.eye((m - 1) * n, mode)],
-            ]
-        )
-    top = (m - i - 1) * n
-    bottom = (i - 1) * n
-    core = _linalg.from_blocks(
-        [
-            [_linalg.neg(sys.coefficient(i)), _linalg.eye(n, mode)],
-            [_linalg.eye(n, mode), _linalg.zeros(n, n, mode)],
-        ]
-    )
-    return _linalg.from_blocks(
-        [
-            [_linalg.eye(top, mode), _linalg.zeros(top, 2 * n, mode), _linalg.zeros(top, bottom, mode)],
-            [_linalg.zeros(2 * n, top, mode), core, _linalg.zeros(2 * n, bottom, mode)],
-            [_linalg.zeros(bottom, top, mode), _linalg.zeros(bottom, 2 * n, mode), _linalg.eye(bottom, mode)],
-        ]
-    )
+        return _identity_but(n, m, {(1, 1): sys.coefficient(m)}, mode)
+    neg_a_i = _linalg.neg(sys.coefficient(i))
+    return _identity_but(n, m, _core(n, m - i, neg_a_i, _linalg.zeros(n, n, mode), mode), mode)
+
+
+def _core(n, p, a, d, mode):
+    """The 2x2-block core [[a, I], [I, d]] at blocks p, p + 1."""
+    eye = _linalg.eye(n, mode)
+    return {(p, p): a, (p, p + 1): eye, (p + 1, p): eye, (p + 1, p + 1): d}
+
+
+def _identity_but(n, m, blocks, mode):
+    """The n x n identity on the block diagonal, but for `blocks`."""
+    eye = _linalg.eye(n, mode)
+    return {**{(k, k): eye for k in range(1, m + 1)}, **blocks}
+
+
+def _classical_factor(sys, i):
+    """The nm x nm Fiedler factor of P alone: the factor blocks with r = 0."""
+    zero = _linalg.coerce_scalar(0, sys.mode)
+    return _linalg.embed(sys.n, sys.m, _factor_blocks(sys, i), (), zero)
 
 
 def make_factor(sys, i):
     """Fiedler factor of the system matrix: the classical factor bordered
-    by the state data (index 0), by -E (index m), or by I_r (otherwise)."""
+    by the state data (index 0: -C in the last block row, -B in the last
+    block column, -A), by -E (index m), or by I_r (otherwise)."""
     n, r, m = sys.n, sys.r, sys.m
     if not 0 <= i <= m:
         raise ValueError(f"factor index {i} out of range 0..{m}")
     mode = sys.mode
-    core = _classical_factor(sys, i)
-    if r == 0:
-        return FiedlerFactor(i, core, n, r, m)
+    c_col = b_row = None
     if i == 0:
-        # column border -e_m (x) C: -C in the last block row
-        col = []
-        zero_row = tuple([_linalg.coerce_scalar(0, mode) for _ in range(r)])
-        for bi in range(m):
-            for k in range(n):
-                col.append(
-                    tuple([-c for c in sys.C[k]]) if bi == m - 1 else zero_row
-                )
-        row_border = []
-        zero = _linalg.coerce_scalar(0, mode)
-        for k in range(r):
-            row_border.append(
-                tuple([zero] * (m - 1) * n) + tuple([-b for b in sys.B[k]])
-            )
-        grid = _linalg.from_blocks(
-            [
-                [core, tuple(col)],
-                [tuple(row_border), _linalg.neg(sys.A)],
-            ]
-        )
-        return FiedlerFactor(0, grid, n, r, m)
-    corner = _linalg.neg(sys.E) if i == m else _linalg.eye(r, mode)
-    grid = _linalg.from_blocks(
-        [
-            [core, _linalg.zeros(n * m, r, mode)],
-            [_linalg.zeros(r, n * m, mode), corner],
-        ]
-    )
+        corner = _linalg.neg(sys.A)
+        c_col, b_row = (m, _linalg.neg(sys.C)), (m, _linalg.neg(sys.B))
+    elif i == m:
+        corner = _linalg.neg(sys.E)
+    else:
+        corner = _linalg.eye(r, mode)
+    zero = _linalg.coerce_scalar(0, mode)
+    grid = _linalg.embed(n, m, _factor_blocks(sys, i), corner, zero, c_col, b_row)
     return FiedlerFactor(i, grid, n, r, m)
 
 
 def factor_inverse(factor):
-    """Closed-form inverse, available for indices 1..m-1 only."""
+    """Closed-form inverse, available for indices 1..m-1 only: the core
+    [[-A_i, I], [I, 0]] at block m - i becomes [[0, I], [I, A_i]]."""
     i, n, r, m = factor.index, factor.n, factor.r, factor.m
     if not 1 <= i <= m - 1:
         raise ValueError("closed-form inverse exists only for indices 1..m-1")
     mode = _linalg.grid_mode(factor.matrix)
-    top = (m - i - 1) * n
-    # recover A_i from the stored factor: the (top, top) block holds -A_i
-    a_i = tuple(
-        [tuple([-factor.matrix[top + a][top + b] for b in range(n)]) for a in range(n)]
-    )
-    core = _linalg.from_blocks(
-        [
-            [_linalg.zeros(n, n, mode), _linalg.eye(n, mode)],
-            [_linalg.eye(n, mode), a_i],
-        ]
-    )
-    bottom = (i - 1) * n
-    inv = _linalg.from_blocks(
-        [
-            [_linalg.eye(top, mode), _linalg.zeros(top, 2 * n, mode), _linalg.zeros(top, bottom, mode)],
-            [_linalg.zeros(2 * n, top, mode), core, _linalg.zeros(2 * n, bottom, mode)],
-            [_linalg.zeros(bottom, top, mode), _linalg.zeros(bottom, 2 * n, mode), _linalg.eye(bottom, mode)],
-        ]
-    )
-    if r == 0:
-        return inv
-    return _linalg.from_blocks(
-        [
-            [inv, _linalg.zeros(n * m, r, mode)],
-            [_linalg.zeros(r, n * m, mode), _linalg.eye(r, mode)],
-        ]
-    )
+    p = m - i
+    # recover A_i from the stored factor: its block (p, p) holds -A_i
+    top = (p - 1) * n
+    a_i = _linalg.neg([row[top : top + n] for row in factor.matrix[top : top + n]])
+    blocks = _identity_but(n, m, _core(n, p, _linalg.zeros(n, n, mode), a_i, mode), mode)
+    return _linalg.embed(n, m, blocks, _linalg.eye(r, mode), _linalg.coerce_scalar(0, mode))
 
 
 @dataclass(frozen=True)
@@ -420,35 +379,16 @@ def pencil_block_formula(sys, sigma):
     if sigma.m != sys.m:
         raise ValueError("bijection length does not match the system degree")
     n, r, m = sys.n, sys.r, sys.m
-    mode = sys.mode
     prod = None
     for i in sigma.inverse_order:
         f = _classical_factor(sys, i)
         prod = f if prod is None else _linalg.mul(prod, f)
     b_row, c_col = _metadata(sigma)
-    const_poly = _linalg.neg(prod)
-    lead = make_factor(sys, m).matrix
-    if r == 0:
-        return SystemPencil(lead, const_poly, n, r, m, b_row, c_col)
-    col = []
-    zero_row = tuple([_linalg.coerce_scalar(0, mode) for _ in range(r)])
-    for bi in range(1, m + 1):
-        for k in range(n):
-            col.append(tuple(sys.C[k]) if bi == c_col else zero_row)
-    rows = []
-    zero = _linalg.coerce_scalar(0, mode)
-    for k in range(r):
-        row = []
-        for bi in range(1, m + 1):
-            row.extend(tuple(sys.B[k]) if bi == b_row else [zero] * n)
-        rows.append(tuple(row))
-    const = _linalg.from_blocks(
-        [
-            [const_poly, tuple(col)],
-            [tuple(rows), sys.A],
-        ]
+    zero = _linalg.coerce_scalar(0, sys.mode)
+    const = _linalg.embed(
+        n, m, {(1, 1): _linalg.neg(prod)}, sys.A, zero, (c_col, sys.C), (b_row, sys.B)
     )
-    return SystemPencil(lead, const, n, r, m, b_row, c_col)
+    return SystemPencil(make_factor(sys, m).matrix, const, n, r, m, b_row, c_col)
 
 
 def first_companion(sys):
@@ -467,66 +407,30 @@ def second_companion(sys):
     return pencil_direct(sys, Bijection.second_companion_order(sys.m))
 
 
-def _border_structure_ok(grid, n, r, m, row_block, col_block):
-    """Verify the single e_i (x) X column / e_j^T (x) Y row shape."""
-    for bi in range(1, m + 1):
-        if bi == col_block:
-            continue
-        for a in range(n):
-            for k in range(r):
-                if grid[(bi - 1) * n + a][m * n + k] != 0:
-                    return False
-    for bj in range(1, m + 1):
-        if bj == row_block:
-            continue
-        for k in range(r):
-            for b in range(n):
-                if grid[m * n + k][(bj - 1) * n + b] != 0:
-                    return False
-    return True
+def _border_structure_ok(grid, n, m, row_block, col_block, zero):
+    """Verify the single e_i (x) X column / e_j^T (x) Y row shape: block
+    transposing twice keeps only the nm part, the state corner and those
+    two borders, so it gives the grid back iff nothing else is nonzero."""
+    once = _linalg.embedded_block_transpose(grid, n, m, row_block, col_block, zero)
+    twice = _linalg.embedded_block_transpose(once, n, m, col_block, row_block, zero)
+    return _linalg.eq(twice, grid)
 
 
 def system_block_transpose(pencil):
     """Block transpose of a system pencil: blockwise transpose of the
     polynomial part with the B-row and C-column block indices swapped."""
     n, r, m = pencil.n, pencil.r, pencil.m
+    b_row, c_col = pencil.b_row_block, pencil.c_col_block
+    if not (1 <= b_row <= m and 1 <= c_col <= m):
+        raise ValueError(f"B-row block {b_row} or C-column block {c_col} is outside 1..{m}")
+    zero = _linalg.coerce_scalar(0, pencil.mode)
 
-    def one_side(grid, row_block, col_block, new_row, new_col):
-        if r and not _border_structure_ok(grid, n, r, m, row_block, col_block):
+    def one_side(grid):
+        if r and not _border_structure_ok(grid, n, m, b_row, c_col, zero):
             raise ValueError("pencil border is not in e_i (x) X / e_j^T (x) Y form")
-        size = n * m + r
-        out = [[None] * size for _ in range(size)]
-        for bi in range(m):
-            for bj in range(m):
-                for a in range(n):
-                    for b in range(n):
-                        out[bj * n + a][bi * n + b] = grid[bi * n + a][bj * n + b]
-        for k in range(r):
-            for j in range(r):
-                out[m * n + k][m * n + j] = grid[m * n + k][m * n + j]
-        for a in range(n):
-            for k in range(r):
-                out[(new_col - 1) * n + a][m * n + k] = grid[(col_block - 1) * n + a][m * n + k]
-        for k in range(r):
-            for b in range(n):
-                out[m * n + k][(new_row - 1) * n + b] = grid[m * n + k][(row_block - 1) * n + b]
-        zero = _linalg.coerce_scalar(0, pencil.mode)
-        for i in range(size):
-            for j in range(size):
-                if out[i][j] is None:
-                    out[i][j] = zero
-        return _linalg.freeze(out)
+        return _linalg.embedded_block_transpose(grid, n, m, b_row, c_col, zero)
 
-    new_b, new_c = pencil.c_col_block, pencil.b_row_block
-    return SystemPencil(
-        lead=one_side(pencil.lead, pencil.b_row_block, pencil.c_col_block, new_b, new_c),
-        const_term=one_side(pencil.const_term, pencil.b_row_block, pencil.c_col_block, new_b, new_c),
-        n=n,
-        r=r,
-        m=m,
-        b_row_block=new_b,
-        c_col_block=new_c,
-    )
+    return SystemPencil(one_side(pencil.lead), one_side(pencil.const_term), n, r, m, c_col, b_row)
 
 
 def is_block_pentadiagonal(pencil):

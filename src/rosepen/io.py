@@ -196,24 +196,35 @@ def encode_pencil(pencil):
     }
 
 
+def _decode_int(obj, key):
+    """The integer field `key` of a pencil document: an int, or a float of
+    integral value.  A bool, a string, a non-finite or non-integral number or any
+    other value raises ValueError."""
+    x = obj[key]
+    if isinstance(x, float) and isfinite(x) and x == int(x):
+        return int(x)
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError(f"pencil field {key!r} must be an integer, got {x!r}")
+    return x
+
+
 def decode_pencil(obj, mode=EXACT):
     needed = {"lead", "const_term", "n", "r", "m", "b_row_block", "c_col_block"}
     if not needed <= set(obj):
         raise ValueError(f"pencil JSON needs keys {sorted(needed)}")
     lead = decode_grid(obj["lead"], mode)
     const = decode_grid(obj["const_term"], mode)
-    n, r, m = int(obj["n"]), int(obj["r"]), int(obj["m"])
+    n, r, m, b_row, c_col = [
+        _decode_int(obj, key) for key in ("n", "r", "m", "b_row_block", "c_col_block")
+    ]
     size = n * m + r
     if shape(lead) != (size, size) or shape(const) != (size, size):
         raise ValueError("pencil grids do not match the declared dimensions")
+    for key, block in (("b_row_block", b_row), ("c_col_block", c_col)):
+        if not 1 <= block <= m:
+            raise ValueError(f"pencil field {key!r} = {block} is outside 1..{m}")
     return SystemPencil(
-        lead=lead,
-        const_term=const,
-        n=n,
-        r=r,
-        m=m,
-        b_row_block=int(obj["b_row_block"]),
-        c_col_block=int(obj["c_col_block"]),
+        lead=lead, const_term=const, n=n, r=r, m=m, b_row_block=b_row, c_col_block=c_col
     )
 
 

@@ -38,6 +38,7 @@ __all__ = [
     "MinimalityResult",
     "assemble_system_matrix",
     "system_det",
+    "state_det",
     "state_pencil",
     "transfer_function",
     "decoupling_zeros",
@@ -62,7 +63,8 @@ class RosenbrockSystem:
     zero coefficients).
 
     Facts derived from the system alone (factor grids, certificate pieces,
-    det S) are kept in its memo, which equality and hashing ignore.
+    det S, det(lam*E - A)) are kept in its memo, which equality and hashing
+    ignore.
     """
 
     __slots__ = ("P", "A", "E", "B", "C", "n", "r", "m", "_memo")
@@ -162,25 +164,45 @@ class MinimalityResult:
         return self.minimal
 
 
+def _system_layout(sys, m, blocks):
+    """S(lam) as the (nm + r)-square grid with P at block (m, m), C and B
+    beside it and A - lam*E in the state corner, next to the given n x n
+    `blocks` of `Poly`s: the m = 1 layout is S(lam) itself, and
+    diag(-I_{(m-1)n}, S(lam)) is the target of the equivalence chain."""
+    blocks = {**blocks, (m, m): sys.P.entries}
+    c_col, b_row = (m, _constant(sys.C, sys.mode)), (m, _constant(sys.B, sys.mode))
+    return _linalg.embed(sys.n, m, blocks, _state_corner(sys), Poly.zero(sys.mode), c_col, b_row)
+
+
+def _constant(grid, mode):
+    """`grid` as a grid of constant `Poly`s."""
+    return [[Poly((x,), mode) for x in row] for row in grid]
+
+
+def _state_corner(sys):
+    """A - lam*E as a grid of `Poly`s."""
+    return [
+        [Poly((a, -e), sys.mode) for a, e in zip(row_a, row_e)]
+        for row_a, row_e in zip(sys.A, sys.E)
+    ]
+
+
 def assemble_system_matrix(sys):
-    """The (n+r)-by-(n+r) system matrix S(lam) as one PolyMatrix."""
-    if sys.r == 0:
-        return sys.P
-    mode = sys.mode
-    entries = []
-    for i in range(sys.n):
-        row = list(sys.P.entries[i]) + [Poly((c,), mode) for c in sys.C[i]]
-        entries.append(row)
-    for i in range(sys.r):
-        row = [Poly((b,), mode) for b in sys.B[i]]
-        row += [Poly((sys.A[i][j], -sys.E[i][j]), mode) for j in range(sys.r)]
-        entries.append(row)
-    return PolyMatrix(entries)
+    """The (n+r)-by-(n+r) system matrix S(lam) as one PolyMatrix: its
+    m = 1 layout."""
+    return PolyMatrix(_system_layout(sys, 1, {}))
 
 
 def system_det(sys):
     """det S(lam), computed once per system object."""
     return sys.memo("det_s", lambda: poly_matrix_det(assemble_system_matrix(sys)))
+
+
+def state_det(sys):
+    """det(lam*E - A), computed once per system object; 1 when r = 0."""
+    if sys.r == 0:
+        return Poly.one(sys.mode)
+    return sys.memo("det_state", lambda: poly_matrix_det(state_pencil(sys)))
 
 
 def state_pencil(sys):
@@ -218,13 +240,12 @@ def transfer_function(sys):
         raise ValueError("transfer_function requires exact mode")
     if sys.r == 0:
         return RationalMatrix.from_poly_matrix(sys.P)
-    pencil = state_pencil(sys)
-    det = poly_matrix_det(pencil)
+    det = state_det(sys)
     if det.is_zero:
         raise SingularStateError("state pencil lam*E - A is singular")
     numer = (
         PolyMatrix.from_scalar_grid(sys.C, sys.mode)
-        * _adjugate(pencil)
+        * _adjugate(state_pencil(sys))
         * PolyMatrix.from_scalar_grid(sys.B, sys.mode)
     )
     entries = [
@@ -249,24 +270,13 @@ def _pencil_zero_polynomial(matrix):
 
 def _input_pencil(sys):
     # [A - lam*E | B], r x (r + n)
-    mode = sys.mode
-    rows = []
-    for i in range(sys.r):
-        row = [Poly((sys.A[i][j], -sys.E[i][j]), mode) for j in range(sys.r)]
-        row += [Poly((b,), mode) for b in sys.B[i]]
-        rows.append(row)
-    return PolyMatrix(rows)
+    b = _constant(sys.B, sys.mode)
+    return PolyMatrix([row + b_row for row, b_row in zip(_state_corner(sys), b)])
 
 
 def _output_pencil(sys):
     # [A - lam*E; C], (r + n) x r
-    mode = sys.mode
-    rows = [
-        [Poly((sys.A[i][j], -sys.E[i][j]), mode) for j in range(sys.r)]
-        for i in range(sys.r)
-    ]
-    rows += [[Poly((c,), mode) for c in sys.C[i]] for i in range(sys.n)]
-    return PolyMatrix(rows)
+    return PolyMatrix(_state_corner(sys) + _constant(sys.C, sys.mode))
 
 
 def decoupling_zeros(sys):

@@ -269,9 +269,10 @@ _SCALAR = st.integers(-3, 3) | st.builds(Fraction, st.integers(-9, 9), st.intege
 
 
 @st.composite
-def exact_systems(draw):
-    """Exact systems with integer and p/q entries, n <= 2, r <= 2, m = 2..4."""
-    n, r, m = draw(st.integers(1, 2)), draw(st.integers(0, 2)), draw(st.integers(2, 4))
+def exact_systems(draw, degrees=st.integers(2, 4)):
+    """Exact systems with integer and p/q entries, n <= 2, r <= 2 and m drawn
+    from `degrees` (2..4 by default)."""
+    n, r, m = draw(st.integers(1, 2)), draw(st.integers(0, 2)), draw(degrees)
 
     def grid(h, w):
         return [[draw(_SCALAR) for _ in range(w)] for _ in range(h)]

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys as _sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -157,6 +158,32 @@ def test_zeros_spec_realizes_once_and_tests_minimality_once(
     code, out, _ = run(capsys, "zeros", "--input", path, "--backend", backend)
     assert code == 0 and json.loads(out)["minimal"] is True
     assert calls == {"realize": 1, "decoupling_zeros": 1}
+
+
+def test_zeros_computes_one_state_determinant(tmp_path, capsys, monkeypatch):
+    # classify_zeros and transfer_function both need det(lam*E - A); the
+    # system memo computes it once per request (here r = 3)
+    pencils, dets = [], []
+    state_pencil = system.state_pencil
+
+    def recording_pencil(sys):
+        pencils.append(state_pencil(sys))
+        return pencils[-1]
+
+    def counting_det(matrix):
+        dets.append(any(matrix == p for p in pencils))
+        return poly_matrix_det(matrix)
+
+    for mod in (system, eigen):
+        if getattr(mod, "state_pencil", None) is state_pencil:
+            monkeypatch.setattr(mod, "state_pencil", recording_pencil)
+        if getattr(mod, "poly_matrix_det", None) is poly_matrix_det:
+            monkeypatch.setattr(mod, "poly_matrix_det", counting_det)
+    terms = [{"num": [1], "den": [-p, 1], "matrix": [[1]]} for p in (1, 2, 3)]
+    spec = {"P": [[[-2, 0, 1]]], "terms": terms}
+    code, out, _ = run(capsys, "zeros", "--input", write(tmp_path, "spec.json", spec))
+    assert code == 0 and len(json.loads(out)["poles"]) == 3
+    assert sum(dets) == 1
 
 
 def test_zeros_singular_e_exit_code(tmp_path, capsys):
@@ -624,6 +651,25 @@ def test_verify_pencil_of_another_shape_is_a_parse_error(tmp_path, capsys, shape
         equivalence.build_certificate(sys, Bijection((1, 0)), pencil=pencil)
 
 
+@pytest.mark.parametrize("key", ["n", "r", "m", "b_row_block", "c_col_block"])
+@pytest.mark.parametrize("raw", ["1e400", "1.5", "true", '"1"', "0", "3"])
+def test_verify_pencil_with_a_malformed_integer_field_is_a_parse_error(
+    tmp_path, capsys, key, raw
+):
+    # the desk1 system (n = r = 1, m = 2) against its own companion pencil
+    # with one integer field written as the raw JSON literal `raw`: a
+    # non-finite, non-integral, boolean or string value, or a count or
+    # block index that does not fit, exits 2 with no traceback
+    desk1 = rio.decode_system(DESK1_JSON)
+    pencil = rio.encode_pencil(pencil_algorithm1(desk1, Bijection((1, 0))))
+    pencil[key] = "@raw " + raw
+    ppath = _write_raw(tmp_path, "pencil.json", pencil)
+    path = write(tmp_path, "sys.json", DESK1_JSON)
+    code, out, err = run(capsys, "verify", "--input", path, "--sigma", "1,0", "--pencil", ppath)
+    assert code == 2 and out == ""
+    assert err.startswith("rosepen: cannot load input:"), err
+
+
 # --- out-of-range numbers ------------------------------------------------------------
 
 @pytest.mark.parametrize(
@@ -787,6 +833,8 @@ _FUZZ_JSON = st.recursive(
     | st.dictionaries(st.sampled_from(_SCHEMA_KEYS), kids, max_size=5),
     max_leaves=16,
 )
+# JSON literals that json.dumps never writes for an integer field
+_RAW_LITERALS = ("1e400", "1.5", "true")
 _FUZZ_SIGMAS = st.one_of(
     st.integers(2, 4).flatmap(lambda m: st.permutations(range(m))).map(
         lambda p: ",".join(map(str, p))
@@ -822,7 +870,17 @@ def _fuzz_documents(draw):
         m, doc = sys.m, rio.encode_system(sys)
         if kind == "pencil":
             doc = rio.encode_pencil(pencil_algorithm1(sys, Bijection.first_companion_order(m)))
+            if draw(st.booleans()):
+                key = draw(st.sampled_from(["n", "r", "m", "b_row_block", "c_col_block"]))
+                doc[key] = "@raw " + draw(st.sampled_from(_RAW_LITERALS))
     return (draw(_mutated(doc)) if draw(st.integers(0, 2)) == 0 else doc), m
+
+
+def _write_raw(folder, name, doc):
+    """`write`, with each "@raw <literal>" string put in as the bare literal."""
+    path = folder / name
+    path.write_text(re.sub(r'"@raw ([^"]*)"', r"\1", json.dumps(doc)))
+    return str(path)
 
 
 def _main_quietly(argv):
@@ -841,8 +899,8 @@ def test_cli_fuzz_exits_with_a_documented_code(tmp_path_factory, inputs, pencil,
     (doc, m), (pencil, _) = inputs, pencil
     companion = ",".join(map(str, range(m - 1, -1, -1)))
     folder = tmp_path_factory.mktemp("fuzz")
-    path = write(folder, "doc.json", doc)
-    ppath = write(folder, "pencil.json", pencil)
+    path = _write_raw(folder, "doc.json", doc)
+    ppath = _write_raw(folder, "pencil.json", pencil)
     commands = [
         ["build", "--input", path],
         ["zeros", "--input", path],

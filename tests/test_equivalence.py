@@ -7,6 +7,7 @@ from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _helpers import LAM, ONE, certificate_residual, desk1_system, exact_systems, rand_system
 from rosepen import _linalg as L
@@ -23,9 +24,11 @@ from rosepen.equivalence import (
 from rosepen.fiedler import (
     Bijection,
     SystemPencil,
+    factor_inverse,
     make_factor,
     pencil_algorithm1,
     pencil_direct,
+    system_block_transpose,
 )
 from rosepen.polymat import Poly, PolyMatrix, poly_matrix_det
 from rosepen.system import assemble_system_matrix
@@ -386,3 +389,30 @@ def test_step_matrices_fix_unimodularity_and_the_state_block(sys):
                 for k in range(core):
                     assert mat.entries[core + a][k].is_zero, flags
                     assert mat.entries[k][core + a].is_zero, flags
+
+
+# --- the structured builders, m = 1 included ---------------------------------------
+
+@settings(max_examples=50, deadline=None)
+@given(exact_systems(degrees=st.integers(1, 4)), st.data())
+def test_structured_builders_as_properties(sys, data):
+    # every matrix laid out by _linalg.embed against what it must satisfy:
+    # factor inverses, the step relations, S for m = 1, the chain's end at
+    # the target, and the block transpose reversing sigma
+    m = sys.m
+    for i in range(1, m):
+        factor = make_factor(sys, i)
+        assert L.eq(L.mul(factor.matrix, factor_inverse(factor)), L.eye(factor.size)), i
+        assert aux_relations_check(sys, i).failures == (), i
+    sigma = Bijection(tuple(data.draw(st.permutations(range(m)))))
+    pencil = pencil_direct(sys, sigma)
+    if m == 1:
+        assert pencil.as_poly_matrix() == assemble_system_matrix(sys)
+    assert intermediate_pencil(sys, sigma, m) == equivalence._target(sys)
+    transposed = system_block_transpose(pencil)
+    reverse = pencil_direct(sys, Bijection(sigma.inverse_order[::-1]))
+    assert transposed == reverse
+    assert (transposed.b_row_block, transposed.c_col_block) == (
+        reverse.b_row_block,
+        reverse.c_col_block,
+    )

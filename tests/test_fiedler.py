@@ -317,6 +317,10 @@ def test_system_block_transpose_rejects_scattered_border():
     )
     with pytest.raises(ValueError):
         system_block_transpose(forged)
+    # a block index outside 1..m names no block at all
+    outside = SystemPencil(p.lead, p.const_term, p.n, p.r, p.m, p.b_row_block, c_col_block=0)
+    with pytest.raises(ValueError, match="outside 1..2"):
+        system_block_transpose(outside)
 
 
 # --- pentadiagonal ---------------------------------------------------------------

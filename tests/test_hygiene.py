@@ -3,6 +3,7 @@
 import ast
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import rosepen
@@ -96,13 +97,18 @@ d = lcm(*[x for x in y])
     assert _tuples_from_generators(ast.parse(source)) == [2, 4]
 
 
-def test_benchmark_layer_map_names_existing_functions():
-    # the benchmark's traced run wraps every function that perfbench/spans.py
-    # lists in LAYERS; renaming or deleting one must fail here first
+def _benchmark_spans():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_benchmark_layer_map_names_existing_functions():
+    # the benchmark's traced run wraps every function that perfbench/spans.py
+    # lists in LAYERS; renaming or deleting one must fail here first
+    spans = _benchmark_spans()
     named = [(module, fn) for module, fns in spans.LAYERS.values() for fn in fns]
     missing = [
         f"{module}.{fn}"
@@ -110,3 +116,21 @@ def test_benchmark_layer_map_names_existing_functions():
         if not callable(getattr(importlib.import_module(module), fn, None))
     ]
     assert len(named) > 20 and missing == []
+
+
+def test_benchmark_counters_take_the_wrapped_parameters():
+    # the traced run calls each COUNTERS hook as counter(tracer, *args,
+    # **kwargs) with the arguments of the wrapped call, so a changed library
+    # signature must fail here rather than in the traced run
+    spans = _benchmark_spans()
+
+    def params(fn):
+        return [(p.name, p.kind) for p in inspect.signature(fn).parameters.values()]
+
+    mismatched = {}
+    for name, counter in spans.COUNTERS.items():
+        layer, fn = name.split(".")
+        wrapped = getattr(importlib.import_module(spans.LAYERS[layer][0]), fn)
+        if params(counter)[1:] != params(wrapped):
+            mismatched[name] = (params(counter)[1:], params(wrapped))
+    assert len(spans.COUNTERS) >= 5 and mismatched == {}
