@@ -54,6 +54,7 @@ from .polymat import (
     SmithForm,
     SmithMcMillanForm,
     block_transpose,
+    gcd_free_base,
     horner_shift,
     multiplicity_index,
     poly_gcd,

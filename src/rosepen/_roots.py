@@ -1,10 +1,13 @@
 """Root extraction for exact and float scalar polynomials.
 
 Exact polynomials get their rational roots peeled off first (rational root
-theorem with exact synthetic division); whatever remains is handed to the
-companion-matrix eigenvalue solver behind numpy.roots.  Numeric results are
-clustered with the scale-relative matching tolerance used throughout the
-package: two values coincide when |a - b| <= tol * max(1, |a|, |b|).
+theorem with exact synthetic division).  The remainder is split into its
+square-free parts (Yun's decomposition), and each part goes to the
+companion-matrix eigenvalue solver behind numpy.roots: a part's roots are
+simple, so they come out accurate, and each carries the part's exact
+multiplicity.  Numeric results are clustered with the scale-relative
+matching tolerance used throughout the package: two values coincide when
+|a - b| <= tol * max(1, |a|, |b|).
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, inf, isfinite, ldexp
 
-from .polymat import EXACT, Poly
+from .polymat import EXACT, Poly, square_free_decomposition
 
 MATCH_TOL = 1e-8
 
@@ -176,12 +179,24 @@ def cluster(values, tol=MATCH_TOL):
 
 def all_roots(p):
     """Roots with multiplicities: exact Fractions where possible, complex
-    floats for the rest."""
+    floats for the rest.
+
+    In exact mode the rational roots come first, in `rational_roots` order.
+    Then come the roots of each square-free part of the deflated remainder,
+    by increasing multiplicity, each part's roots ordered as `cluster`
+    orders them and counted with the part's multiplicity.  A square-free
+    remainder is solved as it stands, so its digits do not depend on the
+    decomposition.
+    """
     if p.is_zero:
         raise ValueError("the zero polynomial has every point as a root")
-    if p.mode == EXACT:
-        found, rest = rational_roots(p)
-        out = list(found)
-        out.extend(cluster(numeric_roots(rest)))
-        return out
-    return cluster(numeric_roots(p))
+    if p.mode != EXACT:
+        return cluster(numeric_roots(p))
+    found, rest = rational_roots(p)
+    parts = square_free_decomposition(rest)
+    if [k for _, k in parts] == [1]:
+        parts = [(rest, 1)]
+    out = list(found)
+    for part, k in parts:
+        out.extend([(v, k * count) for v, count in cluster(numeric_roots(part))])
+    return out

@@ -3,11 +3,16 @@ and the end-to-end pipeline for rational eigenvalue problems.
 
 The exact backend works from the exact determinant of the pencil: rational
 roots are isolated exactly, the deflated remainder goes to companion-matrix
-eigenvalues.  The numeric backend runs a dense QZ solver on (-const, lead).
-Every computed zero of a transfer function is classified as an eigenvalue
-(a zero that is not a pole) or an eigenpole (a zero coinciding with a
-pole): the pencil supplies the invariant zeros, the state pencil supplies
-the poles, and the intersection decides.
+eigenvalues one square-free part at a time.  The numeric backend runs a
+dense QZ solver on (-const, lead).  Every computed zero of a transfer
+function is classified as an eigenvalue (a zero that is not a pole) or an
+eigenpole (a zero coinciding with a pole): the pencil supplies the
+invariant zeros, the state pencil supplies the poles, and the intersection
+decides.  In exact mode the intersection and the multiplicity indices are
+read from one gcd-free base of the report's polynomials: each zero is a
+root of exactly one base element, which is a pole exactly when it divides
+det(lam*E - A), and whose exponents in the Smith-McMillan numerators and
+denominators are the zero's indices.
 """
 
 from __future__ import annotations
@@ -20,14 +25,7 @@ from . import _linalg, _roots
 from ._linalg import EXACT
 from ._roots import MATCH_TOL
 from .fiedler import Bijection, pencil_algorithm1, pencil_direct
-from .polymat import (
-    _root_multiplicity,
-    poly_gcd,
-    poly_matrix_det,
-    smith_mcmillan,
-    square_free_decomposition,
-    zero_pole_polys,
-)
+from .polymat import gcd_free_base, poly_matrix_det, smith_mcmillan, zero_pole_polys
 from .system import (
     RosenbrockSystem,
     SingularStateError,
@@ -128,28 +126,22 @@ def eig_eip_split(zero_poly, pole_poly):
     """Partition the roots of the zero polynomial by whether they are also
     roots of the pole polynomial: (eigenvalues, eigenpoles).
 
-    Exact mode decides membership through gcd(zero_poly, pole_poly); float
-    mode matches numeric root sets with the scale-relative `MATCH_TOL`.
+    Exact mode places every root in a gcd-free base of the two polynomials
+    (see `_owners`); a root is shared when its element divides pole_poly,
+    and so divides gcd(zero_poly, pole_poly).  Float mode matches numeric
+    root sets with the scale-relative `MATCH_TOL`.
     """
     zero_poly = zero_poly.monic()
     pole_poly = pole_poly.monic()
     if zero_poly.degree < 1:
         return [], []
-    if zero_poly.mode == EXACT and pole_poly.mode == EXACT:
-        common = poly_gcd(zero_poly, pole_poly)
-        eip_roots = (
-            [v for v, _ in _roots.all_roots(common)] if common.degree > 0 else []
-        )
-        eig = []
-        for v, _ in _roots.all_roots(zero_poly):
-            if isinstance(v, Fraction):
-                shared = common(v) == 0
-            else:
-                shared = any(_roots.close(v, w) for w in eip_roots)
-            if not shared:
-                eig.append(v)
-        return eig, eip_roots
     zeros = [v for v, _ in _roots.all_roots(zero_poly)]
+    if zero_poly.mode == EXACT and pole_poly.mode == EXACT:
+        base, (zero_exps, pole_exps) = gcd_free_base((zero_poly, pole_poly))
+        eig, eip = [], []
+        for v, j in zip(zeros, _owners(zeros, base, zero_exps)):
+            (eip if pole_exps[j] else eig).append(v)
+        return eig, eip
     poles = (
         [v for v, _ in _roots.all_roots(pole_poly)]
         if pole_poly.degree > 0
@@ -158,6 +150,38 @@ def eig_eip_split(zero_poly, pole_poly):
     eig = [v for v in zeros if not any(_roots.close(v, p) for p in poles)]
     eip = [v for v in zeros if any(_roots.close(v, p) for p in poles)]
     return eig, eip
+
+
+def _owners(values, base, exponents):
+    """For each root in `values` of one polynomial, the index of the
+    element of the gcd-free `base` it is a root of; `exponents` are the
+    polynomial's exponents of the base elements.
+
+    A rational root is placed by exact evaluation.  The other roots go to
+    the one element that has roots left over, when there is one, and
+    otherwise each to the element with the nearest root: the elements are
+    square-free and pairwise coprime, so their roots are simple, accurate
+    and distinct, and no cut-off is involved.
+    """
+    members = [j for j, e in enumerate(exponents) if e]
+    left = {j: base[j].degree for j in members}
+    owners = []
+    for v in values:
+        j = None
+        if isinstance(v, Fraction):
+            j = next(j for j in members if base[j](v) == 0)
+            left[j] -= 1
+        owners.append(j)
+    if None not in owners:
+        return owners
+    hosts = [j for j in members if left[j] > 0]
+    if len(hosts) == 1:
+        return [hosts[0] if j is None else j for j in owners]
+    roots = [(z, j) for j in hosts for z in _roots.numeric_roots(base[j])]
+    return [
+        min(roots, key=lambda zj: abs(zj[0] - v))[1] if j is None else j
+        for v, j in zip(values, owners)
+    ]
 
 
 @dataclass(frozen=True)
@@ -190,49 +214,6 @@ class ZeroReport:
     note: str = ""
 
 
-def _index_for_value(polys, value):
-    """Multiplicity of `value` as a root of each polynomial in order.
-
-    Rational points are decided by exact division; other points are located
-    inside the square-free decomposition, whose factors are pairwise
-    coprime, so at most one multiplicity class can host the root.
-    """
-    out = []
-    for p in polys:
-        if p.degree < 1:
-            out.append(0)
-            continue
-        if isinstance(value, Fraction):
-            out.append(_root_multiplicity(p, value))
-            continue
-        factors = square_free_decomposition(p)
-        try:
-            mags = [abs(factor(complex(value))) for factor, _ in factors]
-            bound = 1e-6 * max(1.0, abs(complex(value))) ** p.degree
-        except OverflowError:
-            # beyond the float range: the same test on squares, exactly
-            x, y = Fraction(value.real), Fraction(value.imag)
-            mags = [_abs2_at(factor, x, y) for factor, _ in factors]
-            bound = Fraction(1e-6) ** 2 * max(1, x * x + y * y) ** p.degree
-        best = min(range(len(factors)), key=mags.__getitem__)
-        out.append(factors[best][1] if mags[best] <= bound else 0)
-    return tuple(out)
-
-
-def _abs2_at(p, x, y):
-    """|p(x + iy)|^2 in exact arithmetic."""
-    re = im = Fraction(0)
-    for c in reversed(p.coeffs):
-        re, im = re * x - im * y + c, re * y + im * x
-    return re * re + im * im
-
-
-def _is_pole_value(value, pole_poly, pole_roots):
-    if isinstance(value, Fraction):
-        return pole_poly(value) == 0
-    return any(_roots.close(value, p) for p in pole_roots)
-
-
 class CertificateMismatch(RuntimeError):
     """Internal consistency failure between a pencil and its system."""
 
@@ -248,9 +229,14 @@ def classify_zeros(sys, sigma=None, backend="exact", pencil=None):
     eigenvalues are then invariant zeros of the realization, not
     necessarily zeros of the transfer function.
 
-    Root clustering and zero-pole matching use the scale-relative
-    `MATCH_TOL`; multiplicity indices locate a numeric zero with a fixed
-    1e-6 relative cut.  det(lam*E - A) is the system's memoised
+    Exact mode reads the eigenpole verdict and the multiplicity indices
+    from one gcd-free base of det 𝕃, the pole polynomial of G, det(lam*E -
+    A) and the Smith-McMillan numerators and denominators: a zero is an
+    eigenpole exactly when its base element divides det(lam*E - A), and its
+    ind_phi and ind_psi are that element's exponents in the numerators and
+    in the reversed denominators, so no value is compared with a tolerance.
+    The numeric backend clusters roots and matches zeros with poles by the
+    scale-relative `MATCH_TOL`.  det(lam*E - A) is the system's memoised
     `state_det`, which `transfer_function` shares.
     """
     if not sys.e_is_nonsingular():
@@ -282,13 +268,6 @@ def classify_zeros(sys, sigma=None, backend="exact", pencil=None):
         )
 
     if backend == "exact":
-        pole_poly = state_det(sys).monic()
-        pole_roots = (
-            [v for v, _ in _roots.all_roots(pole_poly)] if pole_poly.degree > 0 else []
-        )
-        sm = smith_mcmillan(transfer_function(sys))
-        psi_g = zero_pole_polys(sm)[1]
-
         q, rem = divmod(gep.det_poly, system_det(sys))
         if not rem.is_zero or q.degree != 0:
             raise CertificateMismatch(
@@ -296,34 +275,34 @@ def classify_zeros(sys, sigma=None, backend="exact", pencil=None):
             )
         det_constant = q.coefficient(0)
 
+        sm = smith_mcmillan(transfer_function(sys))
+        psi_g = zero_pole_polys(sm)[1]
+        k = len(sm.numerators)
+        base, exps = gcd_free_base(
+            (gep.det_poly, psi_g, state_det(sys), *sm.numerators, *reversed(sm.denominators))
+        )
+        det_exps, psi_g_exps, state_exps = exps[:3]
+        phi_exps, psi_exps = exps[3 : 3 + k], exps[3 + k :]
+
+        zero_values = [v for v, _ in gep.eigenvalues]
         zeros = []
-        for value, _mult in gep.eigenvalues:
-            is_pole = _is_pole_value(value, pole_poly, pole_roots)
-            ind_phi = _index_for_value(sm.numerators, value)
-            ind_psi = (
-                _index_for_value(tuple(reversed(sm.denominators)), value)
-                if is_pole
-                else None
-            )
+        for value, j in zip(zero_values, _owners(zero_values, base, det_exps)):
+            is_pole = state_exps[j] > 0
             zeros.append(
                 ZeroEntry(
                     value=value,
                     classification=EIGENPOLE if is_pole else EIGENVALUE,
-                    ind_phi=ind_phi,
-                    ind_psi=ind_psi,
+                    ind_phi=tuple([e[j] for e in phi_exps]),
+                    ind_psi=tuple([e[j] for e in psi_exps]) if is_pole else None,
                 )
             )
-        poles = []
-        if psi_g.degree > 0:
-            for value, _mult in _roots.all_roots(psi_g):
-                poles.append(
-                    PoleEntry(
-                        value=value,
-                        ind_psi=_index_for_value(
-                            tuple(reversed(sm.denominators)), value
-                        ),
-                    )
-                )
+        pole_values = (
+            [v for v, _ in _roots.all_roots(psi_g)] if psi_g.degree > 0 else []
+        )
+        poles = [
+            PoleEntry(value=value, ind_psi=tuple([e[j] for e in psi_exps]))
+            for value, j in zip(pole_values, _owners(pole_values, base, psi_g_exps))
+        ]
         return ZeroReport(
             zeros=tuple(zeros),
             poles=tuple(poles),

@@ -33,6 +33,7 @@ __all__ = [
     "poly_gcd",
     "poly_lcm",
     "square_free_decomposition",
+    "gcd_free_base",
     "poly_matrix_eval",
     "poly_matrix_det",
     "horner_shift",
@@ -259,14 +260,23 @@ def poly_gcd(a, b):
     """
     if a.mode != EXACT or b.mode != EXACT:
         raise ValueError("polynomial gcd requires exact mode")
-    f, g = _primitive_part(a.coeffs), _primitive_part(b.coeffs)
+    return _monic(_primitive_gcd(_primitive_part(a.coeffs), _primitive_part(b.coeffs)))
+
+
+def _primitive_gcd(f, g):
+    """Primitive gcd of two primitive integer coefficient lists by the
+    remainder sequence of `poly_gcd`: [1] when they are coprime, [] when
+    both are zero."""
     if len(f) < len(g):
         f, g = g, f
     while len(g) > 1:
         f, g = g, _primitive_part(_pseudo_remainder(f, g))
-    if g:
-        return Poly.one()
-    return Poly._trusted([Fraction(c, f[-1]) for c in f], EXACT)  # [] when both are 0
+    return [1] if g else f
+
+
+def _monic(f):
+    """The monic exact polynomial of an integer coefficient list."""
+    return Poly._trusted([Fraction(c, f[-1]) for c in f], EXACT)
 
 
 def _primitive_part(coeffs):
@@ -310,32 +320,108 @@ def poly_lcm(a, b):
     return ((a * b) // g).monic()
 
 
+def _exact_quotient(f, g):
+    """f / g for integer coefficient lists with g primitive, or None when g
+    does not divide f.  By Gauss's lemma a primitive g that divides f over
+    the rationals divides it over the integers, so every step of the long
+    division is an exact integer division; the first inexact one decides."""
+    dg = len(g) - 1
+    lead = g[-1]
+    r = list(f)
+    q = [0] * (len(f) - dg)
+    for i in range(len(q) - 1, -1, -1):
+        c, rest = divmod(r[i + dg], lead)
+        if rest:
+            return None
+        q[i] = c
+        if c:
+            for j in range(dg):
+                r[i + j] -= c * g[j]
+    return None if any(r[:dg]) else q
+
+
+def _derivative(f):
+    return [k * c for k, c in enumerate(f)][1:]
+
+
 def square_free_decomposition(p):
     """Split a nonzero exact polynomial into square-free factors.
 
     Returns a list of (factor, multiplicity) pairs with pairwise-coprime
     monic factors whose weighted product is p up to its leading coefficient.
+    Yun's algorithm (SYMSAC 1976) on primitive integer coefficients: every
+    gcd is `poly_gcd`'s remainder sequence and every division exact.
     """
     if p.mode != EXACT:
         raise ValueError("square-free decomposition requires exact mode")
     if p.is_zero:
         raise ValueError("square-free decomposition of the zero polynomial")
-    f = p.monic()
-    if f.degree == 0:
+    f = _primitive_part(p.coeffs)
+    if len(f) == 1:
         return []
     out = []
-    g = poly_gcd(f, f.derivative())
-    w = f // g
+    g = _primitive_gcd(f, _primitive_part(_derivative(f)))
+    w = _exact_quotient(f, g)
     i = 1
-    while w.degree > 0:
-        y = poly_gcd(w, g)
-        z = w // y
-        if z.degree > 0:
-            out.append((z.monic(), i))
+    while len(w) > 1:
+        y = _primitive_gcd(w, g)
+        z = _exact_quotient(w, y)
+        if len(z) > 1:
+            out.append((_monic(z), i))
         w = y
-        g = g // y
+        g = _exact_quotient(g, y)
         i += 1
     return out
+
+
+def gcd_free_base(polys):
+    """Factor refinement (Bach, Driscoll & Shallit, J. Algorithms 1993) of
+    nonzero exact polynomials into one gcd-free base.
+
+    Returns (base, exponents): `base` lists pairwise coprime, square-free,
+    monic polynomials of positive degree, and exponents[i][j] is the
+    multiplicity of base[j] in polys[i], so polys[i] is a constant times the
+    product of the base[j] ** exponents[i][j].  A root of an input is thus a
+    root of exactly one element, and its multiplicity in polys[i] is that
+    element's exponent.  The square-free part of every input is refined in
+    with it, which keeps every element square-free.  The arithmetic runs on
+    primitive integer coefficients, as in `poly_gcd`.
+    """
+    if any(p.mode != EXACT or p.is_zero for p in polys):
+        raise ValueError("a gcd-free base needs nonzero exact polynomials")
+    # positive leading terms, so that p and -p are one input
+    ints = [[c if p.leading > 0 else -c for c in _primitive_part(p.coeffs)] for p in polys]
+    todo = []
+    for f in ints:
+        if len(f) > 1 and f not in todo:
+            todo.append(f)
+            g = _primitive_gcd(f, _primitive_part(_derivative(f)))
+            if len(g) > 1:
+                todo.append(_exact_quotient(f, g))
+    base = []
+    while todo:
+        a = todo.pop()
+        for i, b in enumerate(base):
+            g = _primitive_gcd(a, b)
+            if len(g) > 1:
+                # a = g * (a / g) and b = g * (b / g): the three go back
+                # through the refinement; total degree falls by deg g
+                del base[i]
+                todo.extend([
+                    h for h in (g, _exact_quotient(a, g), _exact_quotient(b, g)) if len(h) > 1
+                ])
+                break
+        else:
+            base.append(a)
+    return [_monic(b) for b in base], [[_multiplicity(f, b) for b in base] for f in ints]
+
+
+def _multiplicity(f, b):
+    """How many times the primitive integer polynomial b divides f."""
+    k = 0
+    while (f := _exact_quotient(f, b)) is not None:
+        k += 1
+    return k
 
 
 class RationalFn:

@@ -186,6 +186,49 @@ def test_zeros_computes_one_state_determinant(tmp_path, capsys, monkeypatch):
     assert sum(dets) == 1
 
 
+_Q = polymat.Poly([-2, 0, 1])  # lam^2 - 2
+_QE = polymat.Poly([-2 - F(2, 10**5), 0, 1])  # lam^2 - 2 - 2e-5
+_SQRT2 = 2**0.5
+_SQRT2_EPS = 1.4142206334232293  # sqrt(2 + 2e-5)
+
+
+def _r0_system(diagonal):
+    """An r = 0 system document with P = diag(diagonal)."""
+    n = len(diagonal)
+    grid = [
+        [[str(c) for c in diagonal[i].coeffs] if i == j else [0] for j in range(n)]
+        for i in range(n)
+    ]
+    return {"P": grid, "A": [], "E": [], "B": [[] for _ in range(n)], "C": []}
+
+
+@pytest.mark.parametrize(
+    "diagonal, want",
+    [
+        ([_Q**3], {-_SQRT2: [3], _SQRT2: [3]}),
+        ([_Q**2], {-_SQRT2: [2], _SQRT2: [2]}),
+        (
+            [_Q, _Q * _QE],
+            {-_SQRT2_EPS: [0, 1], _SQRT2_EPS: [0, 1], -_SQRT2: [1, 1], _SQRT2: [1, 1]},
+        ),
+    ],
+    ids=["cube", "square", "near-double"],
+)
+def test_zeros_of_repeated_irrational_factors(tmp_path, capsys, diagonal, want):
+    path = write(tmp_path, "sys.json", _r0_system(diagonal))
+    code, out, _ = run(capsys, "zeros", "--input", path)
+    assert code == 0
+    zeros = json.loads(out)["zeros"]
+    want = dict(want)
+    assert len(zeros) == len(want)
+    for z in zeros:
+        assert z["value"]["im"] == 0.0 and z["class"] == "eigenvalue"
+        re = z["value"]["re"]
+        target = min(want, key=lambda w: abs(w - re))
+        assert abs(re - target) <= 1e-12 * abs(target)
+        assert z["ind_phi"] == want.pop(target)
+
+
 def test_zeros_singular_e_exit_code(tmp_path, capsys):
     doc = {
         "P": [[[0, 1]]],

@@ -6,6 +6,8 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _helpers import (
     LAM,
@@ -28,7 +30,8 @@ from rosepen.eigen import (
     solve_gep,
     solve_rep,
 )
-from rosepen._roots import numeric_roots, rational_roots
+from rosepen import _roots, polymat
+from rosepen._roots import all_roots, numeric_roots, rational_roots
 from rosepen.fiedler import Bijection, SystemPencil, first_companion, pencil_direct
 from rosepen.io import decode_system
 from rosepen.polymat import (
@@ -145,6 +148,18 @@ def test_numeric_roots_rescale_coefficients_beyond_float_range():
         numeric_roots(Poly([1, 10**400, 1]))
 
 
+def test_all_roots_lists_a_repeated_irrational_root_once():
+    # (lam - 1) (lam^2 - 3) (lam^2 - 2)^2: one root per square-free part
+    # of the remainder, by increasing multiplicity, with its exact multiplicity
+    p = Poly([-1, 1]) * Poly([-3, 0, 1]) * Poly([-2, 0, 1]) ** 2
+    got = all_roots(p)
+    assert got[0] == (F(1), 1)
+    want = [(-(3**0.5), 1), (3**0.5, 1), (-(2**0.5), 2), (2**0.5, 2)]
+    assert [k for _, k in got[1:]] == [k for _, k in want]
+    for (v, _), (w, _) in zip(got[1:], want):
+        assert v.imag == 0 and abs(v - w) <= 1e-15 * abs(w)
+
+
 # --- eig_eip_split ----------------------------------------------------------------
 
 def test_split_shared_root_is_eigenpole():
@@ -159,6 +174,16 @@ def test_split_coprime_all_eigenvalues():
 
 def test_split_constant_zero_poly():
     assert eig_eip_split(ONE, Poly([-1, 1])) == ([], [])
+
+
+def test_split_repeated_irrational_shared_factor():
+    # (lam^2 - 2)^2 is shared: its roots are eigenpoles, listed once each
+    shared = Poly([-2, 0, 1]) ** 2
+    eig, eip = eig_eip_split(shared * Poly([-1, 1]), shared * Poly([3, 1]))
+    assert eig == [F(1)]
+    assert len(eip) == 2
+    for v, w in zip(sorted(eip, key=lambda z: z.real), (-(2**0.5), 2**0.5)):
+        assert v.imag == 0 and abs(v - w) <= 1e-15 * abs(w)
 
 
 # --- classify_zeros ----------------------------------------------------------------
@@ -287,6 +312,150 @@ def test_zero_multiset_invariant_across_bijections():
         pencil = pencil_direct(sys, Bijection(perm))
         dets.add(pencil_determinant(pencil).monic())
     assert len(dets) == 1  # identical spectrum, multiplicities included
+
+
+def _irreducible(coeffs):
+    # a monic integer quadratic or cubic is reducible over Q exactly when it
+    # has an integer root, which divides its constant term
+    p = Poly(list(coeffs) + [1])
+    c0 = abs(coeffs[0])
+    return c0 > 0 and all(p(x) != 0 for x in range(-c0, c0 + 1))
+
+
+# the lower coefficients of monic irreducible quadratics and cubics
+_IRREDUCIBLE = st.lists(st.integers(-4, 4), min_size=2, max_size=3).map(tuple).filter(_irreducible)
+
+
+def _monic(coeffs):
+    return Poly(list(coeffs) + [1])
+
+
+def _true_roots(coeffs):
+    return [complex(z) for z in np.roots([1] + list(reversed(coeffs)))]
+
+
+def _match(zeros, factors):
+    """For each zero, the (factor, root) pair whose root it approximates,
+    within 1e-10 relative; every root is matched at most once."""
+    roots = [(j, i, z) for j, f in enumerate(factors) for i, z in enumerate(_true_roots(f))]
+    out = []
+    for v in zeros:
+        j, i, z = min(roots, key=lambda jiz: abs(jiz[2] - complex(v)))
+        assert abs(complex(v) - z) <= 1e-10 * max(1.0, abs(z))
+        out.append((j, i))
+    assert len(set(out)) == len(out)
+    return out
+
+
+@st.composite
+def _diagonal_powers(draw):
+    """Distinct irreducible factors q_j and exponents e[i][j] for
+    P = diag(prod_j q_j ** e[i][j]), every entry of degree at most 6."""
+    factors = draw(st.lists(_IRREDUCIBLE, min_size=1, max_size=2, unique=True))
+    exponents = []
+    for _ in range(draw(st.integers(1, 2))):
+        budget, row = 6, []
+        for f in factors:
+            row.append(draw(st.integers(0, budget // len(f))))
+            budget -= row[-1] * len(f)
+        exponents.append(row)
+    if not any(map(any, exponents)):
+        exponents[0][0] = 1
+    return factors, exponents
+
+
+@settings(max_examples=40, deadline=None)
+@given(_diagonal_powers())
+def test_exact_indices_of_diagonal_products_of_irreducible_powers(case):
+    factors, exponents = case
+    entries = []
+    for row in exponents:
+        entry = ONE
+        for f, e in zip(factors, row):
+            entry = entry * _monic(f) ** e
+        entries.append(entry)
+    n = len(entries)
+    P = PolyMatrix([[entries[i] if i == j else Poly.zero() for j in range(n)] for i in range(n)])
+    report = classify_zeros(RosenbrockSystem(P))
+    present = [j for j in range(len(factors)) if any(row[j] for row in exponents)]
+    assert len(report.zeros) == sum(len(factors[j]) for j in present)
+    assert report.poles == ()
+    for z, (j, _) in zip(report.zeros, _match([z.value for z in report.zeros], factors)):
+        # the Smith form of a diagonal matrix sorts each factor's exponents
+        assert z.ind_phi == tuple(sorted(row[j] for row in exponents))
+        assert z.classification == EIGENVALUE and z.ind_psi is None
+
+
+def _companion_realization(q, b):
+    """(A, B column, C row) of the controllable canonical realization of
+    1 / q^b: A is the companion matrix of q^b, B = e_r and C = e_1^T."""
+    d = q**b
+    r = d.degree
+    a = [[F(int(j == i + 1)) for j in range(r)] for i in range(r - 1)]
+    a.append([-c for c in d.coeffs[:r]])
+    return a, [F(int(i == r - 1)) for i in range(r)], [F(int(j == 0)) for j in range(r)]
+
+
+@st.composite
+def _shared_pole_cases(draw):
+    """q, its zero and pole exponents a and b, another factor w and its
+    exponent c in {0, 1}."""
+    q = draw(_IRREDUCIBLE)
+    a, b = draw(st.integers(1, 4 // len(q))), draw(st.integers(1, 4 // len(q)))
+    return q, a, draw(_IRREDUCIBLE.filter(lambda w: w != q)), draw(st.integers(0, 1)), b
+
+
+@settings(max_examples=25, deadline=None)
+@given(_shared_pole_cases())
+def test_exact_eigenpole_verdict_and_indices_on_a_shared_factor(case):
+    # G = diag(q^a w^c, 1 / q^b): the roots of q are zeros of index (0, a)
+    # and poles of index (0, b), so eigenpoles; the roots of w are eigenvalues
+    q, a, other, c, b = case
+    p1 = _monic(q) ** a * _monic(other) ** c
+    A, b_col, c_row = _companion_realization(_monic(q), b)
+    r = len(A)
+    sys = RosenbrockSystem(
+        PolyMatrix([[p1, Poly.zero()], [Poly.zero(), Poly.zero()]]),
+        A,
+        [[F(int(i == j)) for j in range(r)] for i in range(r)],
+        [[F(0), x] for x in b_col],
+        [[F(0)] * r, c_row],
+    )
+    report = classify_zeros(sys)
+    assert report.minimal
+    factors = [q] + ([other] if c else [])
+    assert len(report.zeros) == sum(len(f) for f in factors)
+    for z, (j, _) in zip(report.zeros, _match([z.value for z in report.zeros], factors)):
+        if j == 0:
+            assert (z.classification, z.ind_phi, z.ind_psi) == (EIGENPOLE, (0, a), (0, b))
+        else:
+            assert (z.classification, z.ind_phi, z.ind_psi) == (EIGENVALUE, (0, c), None)
+    assert len(report.poles) == len(q)
+    _match([p.value for p in report.poles], [q])
+    assert all(p.ind_psi == (0, b) for p in report.poles)
+
+
+def test_square_free_decompositions_per_report_do_not_grow_with_the_zeros(monkeypatch):
+    calls = []
+    original = polymat.square_free_decomposition
+
+    def counting(p):
+        calls.append(p)
+        return original(p)
+
+    for mod in (polymat, _roots):
+        monkeypatch.setattr(mod, "square_free_decomposition", counting)
+    quadratics = [Poly([-2, 0, 1]), Poly([-3, 0, 1]), Poly([1, 0, 1]), Poly([-5, 0, 1])]
+    counts = []
+    for k in (1, 4):
+        p = ONE
+        for f in quadratics[:k]:
+            p = p * f
+        report = classify_zeros(RosenbrockSystem(PolyMatrix([[p * quadratics[0]]])))
+        assert len(report.zeros) == 2 * k
+        counts.append(len(calls))
+        calls.clear()
+    assert counts[0] == counts[1]
 
 
 # --- solve_rep -----------------------------------------------------------------------

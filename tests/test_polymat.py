@@ -24,6 +24,7 @@ from rosepen.polymat import (
     RationalFn,
     RationalMatrix,
     block_transpose,
+    gcd_free_base,
     horner_shift,
     multiplicity_index,
     poly_gcd,
@@ -144,6 +145,41 @@ def test_square_free_decomposition_rebuilds_the_monic_input(p):
     assert rebuilt == p.monic()
     for i, (f, _) in enumerate(parts):
         assert all(euclid_gcd(f, g) == ONE for g, _ in parts[i + 1 :])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_products_of_powers(), min_size=1, max_size=3))
+def test_gcd_free_base_refines_every_input(polys):
+    base, exponents = gcd_free_base(polys)
+    for i, b in enumerate(base):
+        assert b.degree >= 1 and b == b.monic()
+        assert euclid_gcd(b, b.derivative()) == ONE
+        assert all(euclid_gcd(b, c) == ONE for c in base[i + 1 :])
+    for p, row in zip(polys, exponents):
+        rebuilt = ONE
+        for b, e in zip(base, row):
+            rebuilt = rebuilt * b**e
+        assert rebuilt == p.monic()
+
+
+def test_square_free_parts_and_base_divide_no_polynomial(monkeypatch):
+    # one exact division, on primitive integer coefficients
+    calls = []
+    divmod_poly = Poly.__divmod__
+
+    def counting(self, other):
+        calls.append(1)
+        return divmod_poly(self, other)
+
+    monkeypatch.setattr(Poly, "__divmod__", counting)
+    a = Poly([F(-1, 3), F(2, 7), 1])
+    b = Poly([F(5, 11), F(-3, 2)])
+    parts = square_free_decomposition(a**3 * b * F(-9, 4))
+    base, exponents = gcd_free_base((a**2 * b, a * b**3, b))
+    assert calls == []
+    assert parts == [(b.monic(), 1), (a, 3)]
+    assert set(base) == {a, b.monic()}
+    assert sorted(exponents[0]) == [1, 2] and sorted(exponents[1]) == [1, 3]
 
 
 def test_gcd_of_rationals_divides_no_polynomial(monkeypatch):

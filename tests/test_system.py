@@ -132,6 +132,20 @@ def test_c_zero_fails_observability():
     assert not is_minimal(sys)
 
 
+def test_repeated_irrational_decoupling_zero_listed_once():
+    # A is the companion matrix of (lam^2 - 2)^2 = lam^4 - 4 lam^2 + 4 and
+    # B = 0, so the whole state is uncontrollable; (A, C) is observable
+    a = [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [-4, 0, 4, 0]]
+    eye = [[int(i == j) for j in range(4)] for i in range(4)]
+    sys = RosenbrockSystem(PolyMatrix([[LAM]]), a, eye, [[0]] * 4, [[1, 0, 0, 0]])
+    rep = decoupling_zeros(sys)
+    assert rep.output_decoupling_zeros == ()
+    got = sorted(rep.input_decoupling_zeros, key=lambda z: z.real)
+    assert len(got) == 2
+    for v, w in zip(got, (-(2**0.5), 2**0.5)):
+        assert v.imag == 0 and abs(v - w) <= 1e-12 * abs(w)
+
+
 def test_decoupling_zeros_live_on_state_spectrum():
     rng = random.Random(31)
     for _ in range(8):
