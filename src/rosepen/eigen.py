@@ -1,18 +1,22 @@
 """Generalized eigenvalue solving for system pencils, zero classification,
 and the end-to-end pipeline for rational eigenvalue problems.
 
-The exact backend works from the exact determinant of the pencil: rational
-roots are isolated exactly, the deflated remainder goes to companion-matrix
-eigenvalues one square-free part at a time.  The numeric backend runs a
-dense QZ solver on (-const, lead).  Every computed zero of a transfer
-function is classified as an eigenvalue (a zero that is not a pole) or an
-eigenpole (a zero coinciding with a pole): the pencil supplies the
-invariant zeros, the state pencil supplies the poles, and the intersection
-decides.  In exact mode the intersection and the multiplicity indices are
-read from one gcd-free base of the report's polynomials: each zero is a
-root of exactly one base element, which is a pole exactly when it divides
-det(lam*E - A), and whose exponents in the Smith-McMillan numerators and
-denominators are the zero's indices.
+A Fiedler pencil of a system is a Rosenbrock linearization of S(lam)
+whose determinant is det S itself (c = 1 for every sigma).  So the exact
+backend of `classify_zeros` works from det S and builds no pencil:
+rational roots are isolated exactly, the deflated remainder goes to
+companion-matrix eigenvalues one square-free part at a time.  The pencil
+is what the numeric backend solves, by dense QZ on (-const, lead);
+`solve_gep` and `pencil_determinant` also solve a caller's own pencil
+exactly.  Every computed zero of a transfer function is classified as an
+eigenvalue (a zero that is not a pole) or an eigenpole (a zero coinciding
+with a pole): det S or the pencil supplies the invariant zeros, the state
+pencil supplies the poles, and the intersection decides.  In exact mode
+the intersection and the multiplicity indices are read from one gcd-free
+base of the report's polynomials: each zero is a root of exactly one base
+element, which is a pole exactly when it divides det(lam*E - A), and whose
+exponents in the Smith-McMillan numerators and denominators are the
+zero's indices.
 """
 
 from __future__ import annotations
@@ -117,9 +121,7 @@ def solve_gep(pencil, backend="exact"):
 
 
 def _lead_singular(pencil):
-    if pencil.mode == EXACT:
-        return _linalg.rank(pencil.lead) < pencil.size
-    return _linalg.rank_float(pencil.lead) < pencil.size
+    return _linalg.rank(pencil.lead) < pencil.size
 
 
 def eig_eip_split(zero_poly, pole_poly):
@@ -214,38 +216,55 @@ class ZeroReport:
     note: str = ""
 
 
-class CertificateMismatch(RuntimeError):
-    """Internal consistency failure between a pencil and its system."""
-
-
 def classify_zeros(sys, sigma=None, backend="exact", pencil=None):
-    """Full zero report for a system: invariant zeros from a Fiedler pencil
-    (first companion by default), poles from the state pencil, eigenpoles
-    as the intersection, plus multiplicity indices from the Smith-McMillan
-    form in exact mode.
+    """Full zero report for a system: invariant zeros, poles from the state
+    pencil, eigenpoles as the intersection, plus multiplicity indices from
+    the Smith-McMillan form in exact mode.
 
     Minimality is decided here, once, by `is_minimal`.  A non-minimal
-    system still gets a report, flagged minimal=False: its pencil
-    eigenvalues are then invariant zeros of the realization, not
-    necessarily zeros of the transfer function.
+    system still gets a report, flagged minimal=False: its zeros are then
+    invariant zeros of the realization, not necessarily zeros of the
+    transfer function.
 
-    Exact mode reads the eigenpole verdict and the multiplicity indices
-    from one gcd-free base of det 𝕃, the pole polynomial of G, det(lam*E -
-    A) and the Smith-McMillan numerators and denominators: a zero is an
-    eigenpole exactly when its base element divides det(lam*E - A), and its
-    ind_phi and ind_psi are that element's exponents in the numerators and
-    in the reversed denominators, so no value is compared with a tolerance.
-    The numeric backend clusters roots and matches zeros with poles by the
-    scale-relative `MATCH_TOL`.  det(lam*E - A) is the system's memoised
-    `state_det`, which `transfer_function` shares.
+    The exact backend reads the zeros from det S, the system's memoised
+    `system_det`: a Fiedler pencil of S is a Rosenbrock linearization with
+    det(pencil) = det S for every sigma (c = 1), so it builds no pencil,
+    reports det_constant 1 and is singular exactly when det S = 0.  It
+    takes the eigenpole verdict and the multiplicity indices from one
+    gcd-free base of det S, the pole polynomial of G, det(lam*E - A) and
+    the Smith-McMillan numerators and denominators: a zero is an eigenpole
+    exactly when its base element divides det(lam*E - A), and its ind_phi
+    and ind_psi are that element's exponents in the numerators and in the
+    reversed denominators, so no value is compared with a tolerance.
+    Passing `pencil` is for the numeric backend only.
+
+    The numeric backend runs QZ on `pencil`, the Fiedler pencil of sigma
+    (first companion by default) built by the product when not given,
+    clusters roots and matches zeros with poles by the scale-relative
+    `MATCH_TOL`.  det(lam*E - A) is the system's memoised `state_det`,
+    which `transfer_function` shares.
     """
     if not sys.e_is_nonsingular():
         raise SingularStateError("E is singular")
     if sigma is None:
         sigma = Bijection.first_companion_order(sys.m)
-    if pencil is None:
+    if backend == "exact":
+        if pencil is not None:
+            raise ValueError("the exact backend reads det S and takes no pencil")
+        if sys.mode != EXACT:
+            raise ValueError("the exact backend requires an exact system")
+        if sigma.m != sys.m:
+            raise ValueError("bijection length does not match the system degree")
+    elif pencil is None:
         pencil = pencil_direct(sys, sigma)
     minrep = is_minimal(sys)
+    provenance = dict(
+        decoupling=minrep.decoupling,
+        minimal=minrep.minimal,
+        backend=backend,
+        sigma=sigma.inverse_order,
+        pencil_size=sys.n * sys.m + sys.r,
+    )
     note = (
         "zeros are transmission zeros (= invariant zeros; realization is minimal)"
         if minrep.minimal
@@ -253,38 +272,27 @@ def classify_zeros(sys, sigma=None, backend="exact", pencil=None):
         "the realization and may differ from the zeros of G"
     )
 
-    gep = solve_gep(pencil, backend=backend)
-    if gep.singular:
-        return ZeroReport(
-            zeros=(),
-            poles=(),
-            decoupling=minrep.decoupling,
-            minimal=minrep.minimal,
-            backend=backend,
-            sigma=sigma.inverse_order,
-            pencil_size=pencil.size,
-            singular=True,
-            note="singular pencil: spectrum undefined at pencil level",
-        )
+    if backend == "exact":
+        det_s = system_det(sys)
+        singular = det_s.is_zero
+    else:
+        gep = solve_gep(pencil, backend=backend)
+        singular = gep.singular
+    if singular:
+        note = "singular pencil: spectrum undefined at pencil level"
+        return ZeroReport((), (), singular=True, note=note, **provenance)
 
     if backend == "exact":
-        q, rem = divmod(gep.det_poly, system_det(sys))
-        if not rem.is_zero or q.degree != 0:
-            raise CertificateMismatch(
-                "pencil determinant is not a constant multiple of det S"
-            )
-        det_constant = q.coefficient(0)
-
         sm = smith_mcmillan(transfer_function(sys))
         psi_g = zero_pole_polys(sm)[1]
         k = len(sm.numerators)
         base, exps = gcd_free_base(
-            (gep.det_poly, psi_g, state_det(sys), *sm.numerators, *reversed(sm.denominators))
+            (det_s, psi_g, state_det(sys), *sm.numerators, *reversed(sm.denominators))
         )
         det_exps, psi_g_exps, state_exps = exps[:3]
         phi_exps, psi_exps = exps[3 : 3 + k], exps[3 + k :]
 
-        zero_values = [v for v, _ in gep.eigenvalues]
+        zero_values = [v for v, _ in _roots.all_roots(det_s)]
         zeros = []
         for value, j in zip(zero_values, _owners(zero_values, base, det_exps)):
             is_pole = state_exps[j] > 0
@@ -304,15 +312,7 @@ def classify_zeros(sys, sigma=None, backend="exact", pencil=None):
             for value, j in zip(pole_values, _owners(pole_values, base, psi_g_exps))
         ]
         return ZeroReport(
-            zeros=tuple(zeros),
-            poles=tuple(poles),
-            decoupling=minrep.decoupling,
-            minimal=minrep.minimal,
-            backend=backend,
-            sigma=sigma.inverse_order,
-            pencil_size=pencil.size,
-            det_constant=det_constant,
-            note=note,
+            tuple(zeros), tuple(poles), det_constant=Fraction(1), note=note, **provenance
         )
 
     # numeric backend: poles from a dense generalized eigensolver on (A, E)
@@ -344,22 +344,15 @@ def classify_zeros(sys, sigma=None, backend="exact", pencil=None):
             )
         )
     poles = tuple([PoleEntry(value=v) for v, _ in _roots.cluster(pole_roots)])
-    return ZeroReport(
-        zeros=tuple(zeros),
-        poles=poles,
-        decoupling=minrep.decoupling,
-        minimal=minrep.minimal,
-        backend=backend,
-        sigma=sigma.inverse_order,
-        pencil_size=pencil.size,
-        note=note,
-    )
+    return ZeroReport(tuple(zeros), poles, note=note, **provenance)
 
 
 def solve_rep(spec, sigma=None, backend="exact"):
     """Direct method for a rational eigenproblem: realize the spec in
-    state-space form, build a Fiedler pencil by the splicing construction
-    (the product for m = 1), solve the GEP, classify.
+    state-space form, then classify its zeros.  The exact backend reads
+    them from det S; the numeric backend solves the Fiedler pencil of
+    sigma, built by the splicing construction (the product for m = 1), by
+    QZ.
 
     `spec` is a `RepSpec`, or a `RosenbrockSystem` already realized from
     one.  Minimality is decided once, by `classify_zeros`; a non-minimal
@@ -367,12 +360,11 @@ def solve_rep(spec, sigma=None, backend="exact"):
     report downgrades its claims accordingly.
     """
     sys = spec if isinstance(spec, RosenbrockSystem) else realize(spec)
-    if sigma is None:
-        sigma = Bijection.first_companion_order(sys.m)
-    if sys.m >= 2:
+    pencil = None
+    if backend == "numeric" and sys.m >= 2:
+        if sigma is None:
+            sigma = Bijection.first_companion_order(sys.m)
         pencil = pencil_algorithm1(sys, sigma)
-    else:
-        pencil = pencil_direct(sys, sigma)
     report = classify_zeros(sys, sigma=sigma, backend=backend, pencil=pencil)
     if not report.minimal:
         warnings.warn(

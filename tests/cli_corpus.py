@@ -1,0 +1,117 @@
+"""A fixed corpus of seeded in-process CLI runs, for byte-identity checks.
+
+Each run prints one line: the command (input named by its corpus name), the
+exit code and the sha256 of stdout.  Two checkouts give the same output
+exactly when every run's bytes agree, so comparing a change with its parent
+is a diff of two runs of this script:
+
+    PYTHONPATH=src python tests/cli_corpus.py > head.txt
+    PYTHONPATH=/path/to/parent/src python tests/cli_corpus.py > parent.txt
+    diff parent.txt head.txt
+
+The corpus covers `build` (exact and float), `zeros` (exact and numeric) on
+`rand_system` systems with m = 1..4, most of them with irrational zeros, on
+`rand_rep_spec` specs and on the hand-written specs, `verify --all`,
+`realize` and `smith`.  The name does not match pytest's `test_*.py`, so the
+suite does not collect it.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import random
+import sys
+import tempfile
+import warnings
+from pathlib import Path
+
+from _helpers import desk1_spec, eigenpole_index_system, exnoevl_spec, rand_rep_spec, rand_system
+from test_golden import DESK1, HAND_SPECS, _rationalise
+
+from rosepen import io as rio
+from rosepen.cli import main
+
+
+def systems():
+    """name -> system document: two seeds of every (1, r, m) and one of
+    every (2, r, m), r = 0..3, m = 1..4, plus p/q variants of every third."""
+    docs = {"desk1": DESK1, "eigenpole": rio.encode_system(eigenpole_index_system())}
+    for n, seeds in ((1, 2), (2, 1)):
+        for m in range(1, 5):
+            for r in range(4):
+                for s in range(seeds):
+                    seed = 1000 * n + 100 * m + 10 * r + s
+                    sys_ = rand_system(random.Random(seed), n, r, m)
+                    docs[f"sys-n{n}r{r}m{m}-{seed}"] = rio.encode_system(sys_)
+    for k, name in enumerate(list(docs)[2::3]):
+        docs[name + "q"] = _rationalise(docs[name], k)
+    return docs
+
+
+def specs():
+    """name -> REP spec document: `rand_rep_spec` over n = 1, 2, one to
+    three terms and deg P up to 1..3, and the hand-written specs."""
+    docs = {
+        "desk1-spec": rio.encode_rep_spec(desk1_spec()),
+        "exnoevl-spec": rio.encode_rep_spec(exnoevl_spec()),
+        **HAND_SPECS,
+    }
+    for n in (1, 2):
+        for terms in (1, 2, 3):
+            for deg in (1, 2, 3):
+                for s in range(2):
+                    seed = 5000 + 1000 * n + 100 * terms + 10 * deg + s
+                    spec = rand_rep_spec(random.Random(seed), n, terms, deg)
+                    docs[f"spec-n{n}t{terms}d{deg}-{seed}"] = rio.encode_rep_spec(spec)
+    return docs
+
+
+def commands():
+    """(input name, document, argv after the input) for every run."""
+    out = []
+    for name, doc in systems().items():
+        m = max(len(entry) for row in doc["P"] for entry in row) - 1
+        out += [
+            (name, doc, ["build"]),
+            (name, doc, ["build", "--mode", "float"]),
+            (name, doc, ["zeros"]),
+            (name, doc, ["zeros", "--backend", "numeric"]),
+            (name, doc, ["smith"]),
+        ]
+        if m >= 2:
+            sigma = ",".join(str(i) for i in [1, 0, *range(2, m)])
+            out += [
+                (name, doc, ["verify", "--all"]),
+                (name, doc, ["zeros", "--sigma", sigma]),
+                (name, doc, ["build", "--sigma", sigma]),
+            ]
+    for name, doc in specs().items():
+        out += [
+            (name, doc, ["realize"]),
+            (name, doc, ["zeros"]),
+            (name, doc, ["zeros", "--backend", "numeric"]),
+            (name, doc, ["zeros", "--sigma", "1,0"]),
+        ]
+    return out
+
+
+def run(tmp, name, doc, argv):
+    """Exit code and the sha256 of stdout of `rosepen <argv[0]> --input
+    <doc> <argv[1:]>`."""
+    path = Path(tmp) / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = main([argv[0], "--input", str(path), *argv[1:]])
+    return code, hashlib.sha256(buf.getvalue().encode()).hexdigest()
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, doc, argv in commands():
+            code, digest = run(tmp, name, doc, argv)
+            cmd = " ".join([argv[0], "--input", name, *argv[1:]])
+            sys.stdout.write(f"{cmd} {code} {digest}\n")

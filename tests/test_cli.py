@@ -186,6 +186,68 @@ def test_zeros_computes_one_state_determinant(tmp_path, capsys, monkeypatch):
     assert sum(dets) == 1
 
 
+def _count_calls(monkeypatch, targets):
+    """Record the arguments of every call of each (home module, name) in
+    `targets`, through every rosepen module that binds the function."""
+    calls = {name: [] for _, name in targets}
+    for home, name in targets:
+        original = getattr(home, name)
+
+        def wrapper(*args, _name=name, _original=original, **kwargs):
+            calls[_name].append(args)
+            return _original(*args, **kwargs)
+
+        for mod in list(_sys.modules.values()):
+            if getattr(mod, "__name__", "").startswith("rosepen") and (
+                getattr(mod, name, None) is original
+            ):
+                monkeypatch.setattr(mod, name, wrapper)
+    return calls
+
+
+_PENCIL_WORK = (
+    (eigen, "pencil_determinant"),
+    (eigen, "solve_gep"),
+    (eigen, "_lead_singular"),
+    (fiedler, "pencil_direct"),
+    (fiedler, "pencil_algorithm1"),
+    (polymat, "poly_matrix_det"),
+)
+
+
+@pytest.mark.parametrize("kind", ["system", "spec"])
+def test_exact_zeros_reads_det_s_and_builds_no_pencil(kind, tmp_path, capsys, monkeypatch):
+    # (n, r, m) = (2, 2, 3) and (2, 2, 2): S(lam) is 4 x 4, a pencil 8 x 8
+    # or 6 x 6, and no other determinant has either size
+    if kind == "system":
+        sys = rand_system(random.Random(1631), 2, 2, 3)
+        doc = rio.encode_system(sys)
+    else:
+        doc = {
+            "P": [[[-2, 0, 1], [0]], [[0], [1, 0, 1]]],
+            "terms": [{"num": [1], "den": [-1, 1], "matrix": [[1, 0], [0, 1]]}],
+        }
+        sys = system.realize(rio.decode_rep_spec(doc))
+    calls = _count_calls(monkeypatch, _PENCIL_WORK)
+    code, out, _ = run(capsys, "zeros", "--input", write(tmp_path, "in.json", doc))
+    assert code == 0 and json.loads(out)["pencil_size"] == sys.n * sys.m + sys.r
+    dets = calls.pop("poly_matrix_det")
+    assert all(not args for args in calls.values())
+    s = assemble_system_matrix(sys)
+    assert sum(1 for (matrix,) in dets if matrix == s) == 1
+    assert all(matrix.rows != sys.n * sys.m + sys.r for (matrix,) in dets)
+
+
+def test_numeric_zeros_solves_one_product_pencil(tmp_path, capsys, monkeypatch):
+    calls = _count_calls(monkeypatch, _PENCIL_WORK)
+    doc = rio.encode_system(rand_system(random.Random(1631), 2, 2, 3))
+    path = write(tmp_path, "sys.json", doc)
+    code, _, _ = run(capsys, "zeros", "--input", path, "--backend", "numeric")
+    assert code == 0
+    assert len(calls["pencil_direct"]) == 1 and len(calls["solve_gep"]) == 1
+    assert not calls["pencil_algorithm1"] and not calls["pencil_determinant"]
+
+
 _Q = polymat.Poly([-2, 0, 1])  # lam^2 - 2
 _QE = polymat.Poly([-2 - F(2, 10**5), 0, 1])  # lam^2 - 2 - 2e-5
 _SQRT2 = 2**0.5
@@ -549,8 +611,9 @@ def test_verify_jobs_decodes_once_per_worker(tmp_path, capsys, monkeypatch):
 
 
 def test_zeros_spec_builds_one_factor(tmp_path, capsys, monkeypatch):
-    # the splice needs only the lead M_m, so the factor memo must not
-    # build all m + 1 factors for it
+    # the numeric backend's splice needs only the lead M_m, so the factor
+    # memo must not build all m + 1 factors for it; the exact backend reads
+    # det S and builds none
     built = []
     make_factor = fiedler.make_factor
 
@@ -560,8 +623,12 @@ def test_zeros_spec_builds_one_factor(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(fiedler, "make_factor", counting_factor)
     spec = {"P": [[[-2, 0, 1]]], "terms": [{"num": [-2], "den": [-1, 1], "matrix": [[1]]}]}
-    code, _, _ = run(capsys, "zeros", "--input", write(tmp_path, "spec.json", spec))
+    path = write(tmp_path, "spec.json", spec)
+    code, _, _ = run(capsys, "zeros", "--input", path, "--backend", "numeric")
     assert code == 0 and built == [2]
+    built.clear()
+    code, _, _ = run(capsys, "zeros", "--input", path)
+    assert code == 0 and built == []
 
 
 def test_zeros_does_not_load_hashlib(tmp_path):

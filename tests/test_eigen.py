@@ -3,6 +3,7 @@ pipeline."""
 
 import random
 from fractions import Fraction as F
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -14,11 +15,13 @@ from _helpers import (
     ONE,
     assert_value_sets_close,
     bareiss_det,
+    det_constant_oracle,
     desk1_spec,
     desk1_system,
     eigenpole_index_matrix,
     eigenpole_index_system,
     exnoevl_spec,
+    rand_rep_spec,
     rand_system,
 )
 from rosepen.eigen import (
@@ -32,7 +35,13 @@ from rosepen.eigen import (
 )
 from rosepen import _roots, polymat
 from rosepen._roots import all_roots, numeric_roots, rational_roots
-from rosepen.fiedler import Bijection, SystemPencil, first_companion, pencil_direct
+from rosepen.fiedler import (
+    Bijection,
+    SystemPencil,
+    first_companion,
+    pencil_algorithm1,
+    pencil_direct,
+)
 from rosepen.io import decode_system
 from rosepen.polymat import (
     Poly,
@@ -50,7 +59,9 @@ from rosepen.system import (
     RosenbrockSystem,
     SingularStateError,
     assemble_system_matrix,
+    realize,
     state_pencil,
+    system_det,
     transfer_function,
 )
 
@@ -232,6 +243,77 @@ def test_classify_singular_pencil_reported():
     sys = RosenbrockSystem(PolyMatrix([[LAM, LAM], [LAM, LAM]]))
     report = classify_zeros(sys)
     assert report.singular and report.zeros == ()
+
+
+def test_classify_exact_rejects_a_float_system():
+    doc = {"P": [[[0, 0, 1]]], "A": [[1]], "E": [[1]], "B": [[1]], "C": [[1]]}
+    sys = decode_system(doc, "float")
+    with pytest.raises(ValueError, match="exact system"):
+        classify_zeros(sys, backend="exact")
+
+
+def test_classify_exact_rejects_a_sigma_of_another_length():
+    with pytest.raises(ValueError, match="bijection length"):
+        classify_zeros(DESK1, sigma=Bijection((0, 1, 2)), backend="exact")
+
+
+def test_classify_exact_takes_no_pencil():
+    with pytest.raises(ValueError, match="reads det S"):
+        classify_zeros(DESK1, backend="exact", pencil=first_companion(DESK1))
+
+
+def _check_pencils_against_report(sys, orders):
+    """Every pencil of `orders`, by the product and (m >= 2) by the splice,
+    has the exact spectrum of the report and det(pencil) = c * det S with
+    the report's c; returns the report."""
+    report = classify_zeros(sys)
+    det_s = system_det(sys)
+    for order in orders:
+        sigma = Bijection(order)
+        pencils = [pencil_direct(sys, sigma)]
+        if sys.m >= 2:
+            pencils.append(pencil_algorithm1(sys, sigma))
+        for pencil in pencils:
+            gep = solve_gep(pencil, "exact")
+            assert gep.singular == report.singular
+            assert gep.eigenvalues == (() if det_s.is_zero else tuple(all_roots(det_s)))
+            assert [v for v, _ in gep.eigenvalues] == [z.value for z in report.zeros]
+            if report.minimal:
+                # det S is phi_G up to a constant: each multiplicity is the
+                # zero's sum of Smith-McMillan indices
+                assert [k for _, k in gep.eigenvalues] == [sum(z.ind_phi) for z in report.zeros]
+            assert det_constant_oracle(pencil, det_s) == report.det_constant
+    return report
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("r", [0, 1, 2, 3])
+def test_exact_report_matches_every_pencil_spectrum(m, r):
+    # n = 1, 2; every sigma for m <= 3, a seeded sample of four for m = 4
+    rng = random.Random(1601 + 10 * m + r)
+    for n in (1, 2):
+        sys = rand_system(rng, n, r, m)
+        orders = list(permutations(range(m)))
+        if m == 4:
+            orders = rng.sample(orders, 4)
+        _check_pencils_against_report(sys, orders)
+
+
+def test_exact_report_matches_singular_pencils():
+    sq = LAM * LAM
+    sys = RosenbrockSystem(PolyMatrix([[sq, sq], [sq, sq]]), [[1]], [[1]], [[0, 0]], [[0], [0]])
+    assert _check_pencils_against_report(sys, permutations(range(2))).singular
+
+
+def test_exact_report_matches_the_pencil_spectrum_on_irrational_specs():
+    irrational = 0
+    for seed in range(1611, 1621):
+        rng = random.Random(seed)
+        sys = realize(rand_rep_spec(rng, rng.randint(1, 2), 2, 3))
+        orders = list(permutations(range(sys.m)))[:3]
+        report = _check_pencils_against_report(sys, orders)
+        irrational += any(not isinstance(z.value, F) for z in report.zeros)
+    assert irrational >= 6
 
 
 def test_classify_numeric_backend_matches_exact():
