@@ -64,7 +64,6 @@ from .polymat import (
     smith_form,
     smith_form_with_transforms,
     smith_mcmillan,
-    square_free_decomposition,
     zero_pole_polys,
 )
 from .system import (

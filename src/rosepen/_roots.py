@@ -1,21 +1,23 @@
 """Root extraction for exact and float scalar polynomials.
 
-Exact polynomials get their rational roots peeled off first (rational root
-theorem with exact synthetic division).  The remainder is split into its
-square-free parts (Yun's decomposition), and each part goes to the
-companion-matrix eigenvalue solver behind numpy.roots: a part's roots are
-simple, so they come out accurate, and each carries the part's exact
-multiplicity.  Numeric results are clustered with the scale-relative
-matching tolerance used throughout the package: two values coincide when
-|a - b| <= tol * max(1, |a|, |b|).
+Exact polynomials are solved over a gcd-free base (`polymat.gcd_free_base`)
+one element at a time: an element's rational roots are peeled off exactly
+(rational root theorem with exact synthetic division), and the rest go to
+the companion-matrix eigenvalue solver behind numpy.roots.  An element is
+square-free, so its roots are simple and come out accurate, and each
+carries the element's exact exponent as its multiplicity and belongs to
+that element by construction.  Numeric results are clustered with the
+scale-relative matching tolerance used throughout the package: two values
+coincide when |a - b| <= tol * max(1, |a|, |b|).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from math import gcd, inf, isfinite, ldexp
 
-from .polymat import EXACT, Poly, square_free_decomposition
+from .polymat import EXACT, Poly, gcd_free_base
 
 MATCH_TOL = 1e-8
 
@@ -66,9 +68,13 @@ def _divisors(n):
 def rational_roots(p):
     """All rational roots with multiplicities, plus the deflated remainder.
 
-    Gives up on the rational-root search (returning an empty list) when the
-    integer divisor enumeration would be unreasonably large; the roots are
-    then still found numerically by the caller.
+    The candidates are +-a/b for coprime divisors a of the constant and b
+    of the leading integer coefficient.  Each passes a float screen before
+    it becomes a `Fraction`, and exact evaluation decides; the roots come
+    back with 0 first, then ascending.  Gives up on the search (returning
+    no nonzero root) when there are more than _MAX_CANDIDATES candidates or
+    the divisor enumeration would be unreasonably large; the roots are then
+    still found numerically by the caller.
     """
     if p.mode != EXACT:
         raise ValueError("rational root extraction requires exact mode")
@@ -88,44 +94,48 @@ def rational_roots(p):
     for c in p.coeffs:
         denlcm = denlcm * c.denominator // gcd(denlcm, c.denominator)
     ints = [int(c * denlcm) for c in p.coeffs]
-    a0, lead = ints[0], ints[-1]
-    num_divs = _divisors(a0)
-    den_divs = _divisors(lead)
+    num_divs = _divisors(ints[0])
+    den_divs = _divisors(ints[-1])
     if num_divs is None or den_divs is None:
         return roots, p
-    candidates = set()
-    for a in num_divs:
-        for b in den_divs:
-            c = Fraction(a, b)
-            candidates.add(c)
-            candidates.add(-c)
-    if len(candidates) > _MAX_CANDIDATES:
+    # each coprime pair is two distinct candidates, +-a/b
+    pairs = list(islice(
+        ((a, b) for a in num_divs for b in den_divs if gcd(a, b) == 1),
+        _MAX_CANDIDATES // 2 + 1,
+    ))
+    if 2 * len(pairs) > _MAX_CANDIDATES:
         return roots, p
+    found = []
     float_coeffs = _float_coeffs(p)
-    for cand in sorted(candidates):
+    for a, b in pairs:
         if p.degree < 1:
             break
-        # cheap float screen; a true root always passes, exact division decides.
-        # Where the floats overflow the screen cannot decide and lets it pass.
-        if float_coeffs is not None:
-            x = float(cand)
-            acc = float_coeffs[-1]
-            for c in reversed(float_coeffs[:-1]):
-                acc = acc * x + c
-            try:
-                scale = max(abs(c) for c in float_coeffs) * max(1.0, abs(x)) ** p.degree
-            except OverflowError:
-                scale = inf
-            if isfinite(acc) and abs(acc) > 1e-6 * scale:
+        for num in (a, -a):
+            # cheap float screen; a true root always passes, exact division
+            # decides.  Where the floats overflow it cannot decide.
+            if float_coeffs is not None and _screened_out(float_coeffs, num / b):
                 continue
-        mult = 0
-        while p(cand) == 0:
-            p = p // Poly((-cand, 1), EXACT)
-            mult += 1
-        if mult:
-            roots.append((cand, mult))
-            float_coeffs = _float_coeffs(p)
-    return roots, p
+            cand = Fraction(num, b)
+            mult = 0
+            while p(cand) == 0:
+                p = p // Poly((-cand, 1), EXACT)
+                mult += 1
+            if mult:
+                found.append((cand, mult))
+                float_coeffs = _float_coeffs(p)
+    return roots + sorted(found), p
+
+
+def _screened_out(float_coeffs, x):
+    """Whether the float polynomial is clearly nonzero at x."""
+    acc = float_coeffs[-1]
+    for c in reversed(float_coeffs[:-1]):
+        acc = acc * x + c
+    try:
+        scale = max(abs(c) for c in float_coeffs) * max(1.0, abs(x)) ** (len(float_coeffs) - 1)
+    except OverflowError:
+        scale = inf
+    return isfinite(acc) and abs(acc) > 1e-6 * scale
 
 
 def _float_coeffs(p):
@@ -177,26 +187,44 @@ def cluster(values, tol=MATCH_TOL):
     return [(g[0] / g[1], g[1]) for g in groups]
 
 
+def base_roots(p, base, exponents):
+    """Roots of a nonzero exact polynomial p over a gcd-free base of it (see
+    `polymat.gcd_free_base`), as (value, multiplicity, j) triples: `value`
+    is a root of base[j], and p is a constant times the product of the
+    base[j] ** exponents[j].
+
+    The elements are square-free and pairwise coprime, so each element with
+    a positive exponent e is solved on its own and every root of it gets
+    multiplicity e and index j: its rational roots exactly, by
+    `rational_roots`, and the deflated rest by `numeric_roots`, scaled by
+    the leading coefficient of p.  Rational roots come first, 0 before the
+    others in ascending order; then the rest by increasing multiplicity,
+    each multiplicity's roots in `cluster`'s (re, im) order.
+    """
+    exact, rest = [], []
+    for j, (b, e) in enumerate(zip(base, exponents)):
+        if e:
+            found, left = rational_roots(b)
+            exact.extend([(v, e, j) for v, _ in found])
+            rest.extend([
+                (e, v, e * count, j) for v, count in cluster(numeric_roots(left * p.leading))
+            ])
+    exact.sort(key=lambda t: (t[0] != 0, t[0]))
+    rest.sort(key=lambda t: (t[0], t[1].real, t[1].imag))
+    return exact + [t[1:] for t in rest]
+
+
 def all_roots(p):
     """Roots with multiplicities: exact Fractions where possible, complex
     floats for the rest.
 
-    In exact mode the rational roots come first, in `rational_roots` order.
-    Then come the roots of each square-free part of the deflated remainder,
-    by increasing multiplicity, each part's roots ordered as `cluster`
-    orders them and counted with the part's multiplicity.  A square-free
-    remainder is solved as it stands, so its digits do not depend on the
-    decomposition.
+    In exact mode these are the `base_roots` of p over its own gcd-free
+    base, whose elements are the square-free parts of p; float mode
+    clusters the companion-matrix eigenvalues.
     """
     if p.is_zero:
         raise ValueError("the zero polynomial has every point as a root")
     if p.mode != EXACT:
         return cluster(numeric_roots(p))
-    found, rest = rational_roots(p)
-    parts = square_free_decomposition(rest)
-    if [k for _, k in parts] == [1]:
-        parts = [(rest, 1)]
-    out = list(found)
-    for part, k in parts:
-        out.extend([(v, k * count) for v, count in cluster(numeric_roots(part))])
-    return out
+    base, (exponents,) = gcd_free_base([p])
+    return [(v, k) for v, k, _ in base_roots(p, base, exponents)]

@@ -4,17 +4,18 @@ and the end-to-end pipeline for rational eigenvalue problems.
 A Fiedler pencil of a system is a Rosenbrock linearization of S(lam)
 whose determinant is det S itself (c = 1 for every sigma).  So the exact
 backend of `classify_zeros` works from det S and builds no pencil:
-rational roots are isolated exactly, the deflated remainder goes to
-companion-matrix eigenvalues one square-free part at a time.  The pencil
+its roots are listed over one gcd-free base of the report's polynomials,
+one element at a time, with rational roots isolated exactly and the rest
+from companion-matrix eigenvalues (`_roots.base_roots`).  The pencil
 is what the numeric backend solves, by dense QZ on (-const, lead);
 `solve_gep` and `pencil_determinant` also solve a caller's own pencil
 exactly.  Every computed zero of a transfer function is classified as an
 eigenvalue (a zero that is not a pole) or an eigenpole (a zero coinciding
 with a pole): det S or the pencil supplies the invariant zeros, the state
 pencil supplies the poles, and the intersection decides.  In exact mode
-the intersection and the multiplicity indices are read from one gcd-free
-base of the report's polynomials: each zero is a root of exactly one base
-element, which is a pole exactly when it divides det(lam*E - A), and whose
+the intersection and the multiplicity indices are read from that same
+base: each zero is listed with the one base element it is a root of,
+which is a pole exactly when it divides det(lam*E - A), and whose
 exponents in the Smith-McMillan numerators and denominators are the
 zero's indices.
 """
@@ -128,22 +129,23 @@ def eig_eip_split(zero_poly, pole_poly):
     """Partition the roots of the zero polynomial by whether they are also
     roots of the pole polynomial: (eigenvalues, eigenpoles).
 
-    Exact mode places every root in a gcd-free base of the two polynomials
-    (see `_owners`); a root is shared when its element divides pole_poly,
-    and so divides gcd(zero_poly, pole_poly).  Float mode matches numeric
-    root sets with the scale-relative `MATCH_TOL`.
+    Exact mode lists the roots of zero_poly over a gcd-free base of the two
+    polynomials (`_roots.base_roots`), so each root comes with its base
+    element; a root is shared when its element divides pole_poly, and so
+    divides gcd(zero_poly, pole_poly).  Float mode matches numeric root
+    sets with the scale-relative `MATCH_TOL`.
     """
     zero_poly = zero_poly.monic()
     pole_poly = pole_poly.monic()
     if zero_poly.degree < 1:
         return [], []
-    zeros = [v for v, _ in _roots.all_roots(zero_poly)]
     if zero_poly.mode == EXACT and pole_poly.mode == EXACT:
         base, (zero_exps, pole_exps) = gcd_free_base((zero_poly, pole_poly))
         eig, eip = [], []
-        for v, j in zip(zeros, _owners(zeros, base, zero_exps)):
+        for v, _, j in _roots.base_roots(zero_poly, base, zero_exps):
             (eip if pole_exps[j] else eig).append(v)
         return eig, eip
+    zeros = [v for v, _ in _roots.all_roots(zero_poly)]
     poles = (
         [v for v, _ in _roots.all_roots(pole_poly)]
         if pole_poly.degree > 0
@@ -152,38 +154,6 @@ def eig_eip_split(zero_poly, pole_poly):
     eig = [v for v in zeros if not any(_roots.close(v, p) for p in poles)]
     eip = [v for v in zeros if any(_roots.close(v, p) for p in poles)]
     return eig, eip
-
-
-def _owners(values, base, exponents):
-    """For each root in `values` of one polynomial, the index of the
-    element of the gcd-free `base` it is a root of; `exponents` are the
-    polynomial's exponents of the base elements.
-
-    A rational root is placed by exact evaluation.  The other roots go to
-    the one element that has roots left over, when there is one, and
-    otherwise each to the element with the nearest root: the elements are
-    square-free and pairwise coprime, so their roots are simple, accurate
-    and distinct, and no cut-off is involved.
-    """
-    members = [j for j, e in enumerate(exponents) if e]
-    left = {j: base[j].degree for j in members}
-    owners = []
-    for v in values:
-        j = None
-        if isinstance(v, Fraction):
-            j = next(j for j in members if base[j](v) == 0)
-            left[j] -= 1
-        owners.append(j)
-    if None not in owners:
-        return owners
-    hosts = [j for j in members if left[j] > 0]
-    if len(hosts) == 1:
-        return [hosts[0] if j is None else j for j in owners]
-    roots = [(z, j) for j in hosts for z in _roots.numeric_roots(base[j])]
-    return [
-        min(roots, key=lambda zj: abs(zj[0] - v))[1] if j is None else j
-        for v, j in zip(values, owners)
-    ]
 
 
 @dataclass(frozen=True)
@@ -230,12 +200,14 @@ def classify_zeros(sys, sigma=None, backend="exact", pencil=None):
     `system_det`: a Fiedler pencil of S is a Rosenbrock linearization with
     det(pencil) = det S for every sigma (c = 1), so it builds no pencil,
     reports det_constant 1 and is singular exactly when det S = 0.  It
-    takes the eigenpole verdict and the multiplicity indices from one
-    gcd-free base of det S, the pole polynomial of G, det(lam*E - A) and
-    the Smith-McMillan numerators and denominators: a zero is an eigenpole
-    exactly when its base element divides det(lam*E - A), and its ind_phi
-    and ind_psi are that element's exponents in the numerators and in the
-    reversed denominators, so no value is compared with a tolerance.
+    builds one gcd-free base of det S, the pole polynomial of G,
+    det(lam*E - A) and the Smith-McMillan numerators and denominators, and
+    lists the zeros (the roots of det S) and the poles over it one element
+    at a time (`_roots.base_roots`), so each comes with its element: a zero
+    is an eigenpole exactly when its element divides det(lam*E - A), and
+    its ind_phi and ind_psi are that element's exponents in the numerators
+    and in the reversed denominators, so no value is compared with a
+    tolerance.
     Passing `pencil` is for the numeric backend only.
 
     The numeric backend runs QZ on `pencil`, the Fiedler pencil of sigma
@@ -292,9 +264,8 @@ def classify_zeros(sys, sigma=None, backend="exact", pencil=None):
         det_exps, psi_g_exps, state_exps = exps[:3]
         phi_exps, psi_exps = exps[3 : 3 + k], exps[3 + k :]
 
-        zero_values = [v for v, _ in _roots.all_roots(det_s)]
         zeros = []
-        for value, j in zip(zero_values, _owners(zero_values, base, det_exps)):
+        for value, _, j in _roots.base_roots(det_s, base, det_exps):
             is_pole = state_exps[j] > 0
             zeros.append(
                 ZeroEntry(
@@ -304,12 +275,9 @@ def classify_zeros(sys, sigma=None, backend="exact", pencil=None):
                     ind_psi=tuple([e[j] for e in psi_exps]) if is_pole else None,
                 )
             )
-        pole_values = (
-            [v for v, _ in _roots.all_roots(psi_g)] if psi_g.degree > 0 else []
-        )
         poles = [
             PoleEntry(value=value, ind_psi=tuple([e[j] for e in psi_exps]))
-            for value, j in zip(pole_values, _owners(pole_values, base, psi_g_exps))
+            for value, _, j in _roots.base_roots(psi_g, base, psi_g_exps)
         ]
         return ZeroReport(
             tuple(zeros), tuple(poles), det_constant=Fraction(1), note=note, **provenance

@@ -32,7 +32,6 @@ __all__ = [
     "SmithMcMillanForm",
     "poly_gcd",
     "poly_lcm",
-    "square_free_decomposition",
     "gcd_free_base",
     "poly_matrix_eval",
     "poly_matrix_det",
@@ -342,36 +341,6 @@ def _exact_quotient(f, g):
 
 def _derivative(f):
     return [k * c for k, c in enumerate(f)][1:]
-
-
-def square_free_decomposition(p):
-    """Split a nonzero exact polynomial into square-free factors.
-
-    Returns a list of (factor, multiplicity) pairs with pairwise-coprime
-    monic factors whose weighted product is p up to its leading coefficient.
-    Yun's algorithm (SYMSAC 1976) on primitive integer coefficients: every
-    gcd is `poly_gcd`'s remainder sequence and every division exact.
-    """
-    if p.mode != EXACT:
-        raise ValueError("square-free decomposition requires exact mode")
-    if p.is_zero:
-        raise ValueError("square-free decomposition of the zero polynomial")
-    f = _primitive_part(p.coeffs)
-    if len(f) == 1:
-        return []
-    out = []
-    g = _primitive_gcd(f, _primitive_part(_derivative(f)))
-    w = _exact_quotient(f, g)
-    i = 1
-    while len(w) > 1:
-        y = _primitive_gcd(w, g)
-        z = _exact_quotient(w, y)
-        if len(z) > 1:
-            out.append((_monic(z), i))
-        w = y
-        g = _exact_quotient(g, y)
-        i += 1
-    return out
 
 
 def gcd_free_base(polys):

@@ -218,23 +218,13 @@ def state_pencil(sys):
     )
 
 
-def _adjugate(matrix):
-    k = matrix.rows
-    if k == 1:
-        return PolyMatrix.identity(1, matrix.mode)
-    entries = [[None] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(k):
-            minor = poly_matrix_det(matrix.submatrix(j, i))
-            entries[i][j] = minor if (i + j) % 2 == 0 else -minor
-    return PolyMatrix(entries)
-
-
 def transfer_function(sys):
     """G(lam) = P(lam) + C (lam*E - A)^{-1} B, computed exactly.
 
-    The state pencil is inverted through its adjugate so every entry comes
-    out as an honest rational function over Q[lam].
+    By the Schur complement of A - lam*E in S(lam), each entry is
+    g_ij = (-1)^r det S_ij / det(lam*E - A), where S_ij keeps row i and
+    column j of P and every state row and column of S(lam); so every entry
+    comes out as an honest rational function over Q[lam].
     """
     if sys.mode != EXACT:
         raise ValueError("transfer_function requires exact mode")
@@ -243,19 +233,16 @@ def transfer_function(sys):
     det = state_det(sys)
     if det.is_zero:
         raise SingularStateError("state pencil lam*E - A is singular")
-    numer = (
-        PolyMatrix.from_scalar_grid(sys.C, sys.mode)
-        * _adjugate(state_pencil(sys))
-        * PolyMatrix.from_scalar_grid(sys.B, sys.mode)
+    s = assemble_system_matrix(sys).entries
+    state = range(sys.n, sys.n + sys.r)
+
+    def numerator(i, j):
+        minor = poly_matrix_det(PolyMatrix([[s[a][b] for b in (j, *state)] for a in (i, *state)]))
+        return -minor if sys.r % 2 else minor
+
+    return RationalMatrix(
+        [[RationalFn(numerator(i, j), det) for j in range(sys.n)] for i in range(sys.n)]
     )
-    entries = [
-        [
-            RationalFn(sys.P.entries[i][j] * det + numer.entries[i][j], det)
-            for j in range(sys.n)
-        ]
-        for i in range(sys.n)
-    ]
-    return RationalMatrix(entries)
 
 
 def _pencil_zero_polynomial(matrix):

@@ -1,6 +1,7 @@
 """Shared fixtures-in-code for the test suite: desk examples, random system
 and REP spec generators (plain and hypothesis), and independent gcd,
-determinant, certificate-residual and determinant-constant oracles."""
+square-free decomposition, determinant, certificate-residual and
+determinant-constant oracles."""
 
 from __future__ import annotations
 
@@ -319,6 +320,26 @@ def euclid_gcd(a, b):
     while not b.is_zero:
         a, b = b, (a % b).monic()
     return a.monic()
+
+
+def square_free_decomposition(p):
+    """Yun's square-free decomposition (SYMSAC 1976) over `Fraction`, with
+    `euclid_gcd`: the (monic part, multiplicity) pairs of a nonzero exact
+    polynomial by increasing multiplicity, an independent oracle for
+    `polymat.gcd_free_base` of one polynomial."""
+    f = p.monic()
+    g = euclid_gcd(f, f.derivative())
+    w = f // g
+    out = []
+    i = 1
+    while w.degree > 0:
+        y = euclid_gcd(w, g)
+        z = w // y
+        if z.degree > 0:
+            out.append((z, i))
+        w, g = y, g // y
+        i += 1
+    return out
 
 
 def certificate_residual(cert, pencil):

@@ -1,13 +1,14 @@
 """GEP solving, zero classification, and the realize -> linearize -> solve
 pipeline."""
 
+import math
 import random
 from fractions import Fraction as F
 from itertools import permutations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from _helpers import (
@@ -33,7 +34,7 @@ from rosepen.eigen import (
     solve_gep,
     solve_rep,
 )
-from rosepen import _roots, polymat
+from rosepen import _roots, eigen, polymat
 from rosepen._roots import all_roots, numeric_roots, rational_roots
 from rosepen.fiedler import (
     Bijection,
@@ -148,6 +149,18 @@ def test_rational_roots_with_coefficients_beyond_float_range():
     assert roots == [(F(2), 1)] and rest == huge
 
 
+def test_rational_roots_give_up_beyond_the_candidate_bound():
+    # 720720 has 240 divisors, all coprime to the odd primes in the lead:
+    # 2 * 240 * 2**7 = 61440 candidates +-a/b are beyond _MAX_CANDIDATES,
+    # 2 * 240 * 2**5 = 15360 are not
+    for primes, searched in (((17, 19, 23, 29, 31, 37, 41), False), ((17, 19, 23, 29, 31), True)):
+        lead = math.prod(primes)
+        p = Poly([-720720, lead]) * Poly([1, 0, 1])
+        roots, rest = rational_roots(p)
+        assert roots == ([(F(720720, lead), 1)] if searched else [])
+        assert rest.degree == (2 if searched else 3)
+
+
 def test_numeric_roots_rescale_coefficients_beyond_float_range():
     # lam^2 - 2 * 10**400 has the roots +-sqrt(2) * 10**200
     roots = sorted(numeric_roots(Poly([-2 * 10**400, 0, 1])), key=lambda z: z.real)
@@ -160,8 +173,8 @@ def test_numeric_roots_rescale_coefficients_beyond_float_range():
 
 
 def test_all_roots_lists_a_repeated_irrational_root_once():
-    # (lam - 1) (lam^2 - 3) (lam^2 - 2)^2: one root per square-free part
-    # of the remainder, by increasing multiplicity, with its exact multiplicity
+    # (lam - 1) (lam^2 - 3) (lam^2 - 2)^2: each irrational root once, by
+    # increasing multiplicity, with its exact multiplicity
     p = Poly([-1, 1]) * Poly([-3, 0, 1]) * Poly([-2, 0, 1]) ** 2
     got = all_roots(p)
     assert got[0] == (F(1), 1)
@@ -517,16 +530,16 @@ def test_exact_eigenpole_verdict_and_indices_on_a_shared_factor(case):
     assert all(p.ind_psi == (0, b) for p in report.poles)
 
 
-def test_square_free_decompositions_per_report_do_not_grow_with_the_zeros(monkeypatch):
+def test_gcd_free_bases_per_report_do_not_grow_with_the_zeros(monkeypatch):
     calls = []
-    original = polymat.square_free_decomposition
+    original = polymat.gcd_free_base
 
-    def counting(p):
-        calls.append(p)
-        return original(p)
+    def counting(polys):
+        calls.append(polys)
+        return original(polys)
 
-    for mod in (polymat, _roots):
-        monkeypatch.setattr(mod, "square_free_decomposition", counting)
+    for mod in (polymat, _roots, eigen):
+        monkeypatch.setattr(mod, "gcd_free_base", counting)
     quadratics = [Poly([-2, 0, 1]), Poly([-3, 0, 1]), Poly([1, 0, 1]), Poly([-5, 0, 1])]
     counts = []
     for k in (1, 4):
@@ -537,7 +550,84 @@ def test_square_free_decompositions_per_report_do_not_grow_with_the_zeros(monkey
         assert len(report.zeros) == 2 * k
         counts.append(len(calls))
         calls.clear()
-    assert counts[0] == counts[1]
+    assert counts[0] == counts[1] == 1
+
+
+def _quadratic_roots(b, c):
+    """The roots of lam^2 + b*lam + c for exact b and c, accurate to a few
+    ulps: the stable formula for real roots, conjugates otherwise."""
+    d = b * b - 4 * c
+    if d < 0:
+        re, im = float(-b / 2), float(-d) ** 0.5 / 2
+        return [complex(re, -im), complex(re, im)]
+    big = -(float(b) + (1 if b >= 0 else -1) * float(d) ** 0.5) / 2
+    return [complex(big), complex(float(c) / big)]
+
+
+def _assert_zeros_of_near_coincident_quadratics(report, quadratics):
+    """Each quadratic (b, c, ind_phi) has two zeros carrying its ind_phi,
+    each within 1e-12 relative of one of its roots, and real ones real."""
+    assert len(report.zeros) == 2 * len(quadratics)
+    for b, c, ind_phi in quadratics:
+        got = [complex(z.value) for z in report.zeros if z.ind_phi == ind_phi]
+        want = _quadratic_roots(b, c)
+        assert len(got) == 2
+        if b * b > 4 * c:
+            assert all(v.imag == 0 for v in got)
+        matched = [min(range(2), key=lambda i: abs(want[i] - v)) for v in got]
+        assert sorted(matched) == [0, 1]
+        for v, i in zip(got, matched):
+            assert abs(v - want[i]) <= 1e-12 * abs(want[i])
+
+
+@pytest.mark.parametrize("k", range(5, 17))
+def test_exact_zeros_of_near_coincident_factors_sharing_a_square_free_part(k):
+    # P = diag(q, q * q_eps^2), q = lam^2 - 2, q_eps = q - eps: both factors
+    # have exponent 2 in det P, so one square-free part of det P holds them,
+    # but q has indices (1, 1) and q_eps has (0, 2)
+    eps = F(2, 10**k)
+    q, q_eps = Poly([-2, 0, 1]), Poly([-2 - eps, 0, 1])
+    P = PolyMatrix([[q, Poly.zero()], [Poly.zero(), q * q_eps**2]])
+    report = classify_zeros(RosenbrockSystem(P))
+    _assert_zeros_of_near_coincident_quadratics(
+        report, [(F(0), F(-2), (1, 1)), (F(0), -2 - eps, (0, 2))]
+    )
+
+
+def _is_rational_square(x):
+    return x >= 0 and all(math.isqrt(n) ** 2 == n for n in (x.numerator, x.denominator))
+
+
+@st.composite
+def _near_coincident_quadratics(draw):
+    """An irreducible q = lam^2 + b*lam + c, q_eps = q - 2 * 10**-k still
+    irreducible, and the exponents of q and q_eps in the two diagonal
+    entries of P: equal totals, so one square-free part of det P holds
+    both, but different index lists."""
+    b, c = draw(st.integers(-4, 4)), draw(st.integers(-4, 4).filter(bool))
+    eps = F(2, 10 ** draw(st.integers(5, 16)))
+    assume(not _is_rational_square(F(b * b - 4 * c)))
+    assume(not _is_rational_square(b * b - 4 * (c - eps)))
+    total = draw(st.integers(2, 3))
+    q_exps, eps_exps = [
+        (j, total - j) if draw(st.booleans()) else (total - j, j)
+        for j in draw(st.permutations([0, 1]))
+    ]
+    return F(b), F(c), eps, q_exps, eps_exps
+
+
+@settings(max_examples=40, deadline=None)
+@given(_near_coincident_quadratics())
+def test_exact_zeros_of_near_coincident_factors_with_different_indices(case):
+    b, c, eps, q_exps, eps_exps = case
+    q, q_eps = Poly([c, b, 1]), Poly([c - eps, b, 1])
+    entries = [q**i * q_eps**j for i, j in zip(q_exps, eps_exps)]
+    P = PolyMatrix([[entries[0], Poly.zero()], [Poly.zero(), entries[1]]])
+    report = classify_zeros(RosenbrockSystem(P))
+    assert all(z.classification == EIGENVALUE for z in report.zeros)
+    _assert_zeros_of_near_coincident_quadratics(
+        report, [(b, c, tuple(sorted(q_exps))), (b, c - eps, tuple(sorted(eps_exps)))]
+    )
 
 
 # --- solve_rep -----------------------------------------------------------------------

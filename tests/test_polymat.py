@@ -17,6 +17,7 @@ from _helpers import (
     euclid_gcd,
     naive_poly_matmul,
     naive_poly_op,
+    square_free_decomposition,
 )
 from rosepen.polymat import (
     Poly,
@@ -35,7 +36,6 @@ from rosepen.polymat import (
     smith_form_matrix,
     smith_form_with_transforms,
     smith_mcmillan,
-    square_free_decomposition,
     zero_pole_polys,
 )
 
@@ -162,6 +162,13 @@ def test_gcd_free_base_refines_every_input(polys):
         assert rebuilt == p.monic()
 
 
+@settings(max_examples=60, deadline=None)
+@given(_products_of_powers())
+def test_gcd_free_base_of_one_polynomial_is_its_square_free_decomposition(p):
+    base, (exponents,) = gcd_free_base([p])
+    assert sorted(zip(base, exponents), key=lambda bk: bk[1]) == square_free_decomposition(p)
+
+
 def test_square_free_parts_and_base_divide_no_polynomial(monkeypatch):
     # one exact division, on primitive integer coefficients
     calls = []
@@ -174,10 +181,10 @@ def test_square_free_parts_and_base_divide_no_polynomial(monkeypatch):
     monkeypatch.setattr(Poly, "__divmod__", counting)
     a = Poly([F(-1, 3), F(2, 7), 1])
     b = Poly([F(5, 11), F(-3, 2)])
-    parts = square_free_decomposition(a**3 * b * F(-9, 4))
+    parts, (multiplicities,) = gcd_free_base([a**3 * b * F(-9, 4)])
     base, exponents = gcd_free_base((a**2 * b, a * b**3, b))
     assert calls == []
-    assert parts == [(b.monic(), 1), (a, 3)]
+    assert set(zip(parts, multiplicities)) == {(b.monic(), 1), (a, 3)}
     assert set(base) == {a, b.monic()}
     assert sorted(exponents[0]) == [1, 2] and sorted(exponents[1]) == [1, 3]
 
