@@ -7,8 +7,9 @@ Python so equality is decidable.
 
 `embed` is the one layout of every (nm + r)-square structured matrix of the
 construction, on scalar and `Poly` entries alike: the Fiedler factors and
-their inverses, the step matrices and target of the equivalence chain, and
-S(lam).  `embedded_block_transpose` is the block transpose of any of them.
+their inverses, the spliced factor products of Algorithm 1 and of the
+intermediate pencils, the step matrices and target of the equivalence chain,
+and S(lam).  `embedded_block_transpose` is the block transpose of any of them.
 
 Across the package a tuple is built from a list, ``tuple([... for ...])``,
 never from a generator.  CPython sizes a tuple built from a generator at a
@@ -73,20 +74,8 @@ def eye(k, mode=EXACT):
     return tuple([tuple([one if i == j else z for j in range(k)]) for i in range(k)])
 
 
-def add(a, b):
-    return tuple([tuple([x + y for x, y in zip(ra, rb)]) for ra, rb in zip(a, b)])
-
-
-def sub(a, b):
-    return tuple([tuple([x - y for x, y in zip(ra, rb)]) for ra, rb in zip(a, b)])
-
-
 def neg(a):
     return tuple([tuple([-x for x in row]) for row in a])
-
-
-def scale(a, c):
-    return tuple([tuple([c * x for x in row]) for row in a])
 
 
 def mul(a, b):
@@ -97,10 +86,6 @@ def mul(a, b):
     )
 
 
-def transpose(a):
-    return tuple(zip(*a))
-
-
 def eq(a, b):
     return shape(a) == shape(b) and all(
         x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb)
@@ -109,27 +94,6 @@ def eq(a, b):
 
 def is_zero(a):
     return all(x == 0 for row in a for x in row)
-
-
-def from_blocks(blocks):
-    """Flatten a 2-D list of grids into one grid.
-
-    Block rows must have consistent heights and block columns consistent
-    widths; zero-row/zero-column blocks are allowed and simply vanish.
-    """
-    out = []
-    for block_row in blocks:
-        heights = {len(b) for b in block_row if len(b)}
-        if len(heights) > 1:
-            raise ValueError("inconsistent block heights")
-        height = heights.pop() if heights else 0
-        for i in range(height):
-            row = []
-            for b in block_row:
-                if len(b):
-                    row.extend(b[i])
-            out.append(tuple(row))
-    return tuple(out)
 
 
 def embed(n, m, blocks, corner, zero, c_col=None, b_row=None):
@@ -178,14 +142,6 @@ def embedded_block_transpose(grid, n, m, b_row, c_col, zero):
     corner = [row[nm:] for row in grid[nm:]]
     c_grid = [row[nm:] for row in block_row(c_col)]
     return embed(n, m, blocks, corner, zero, (b_row, c_grid), (c_col, block_col(grid[nm:], b_row)))
-
-
-def submatrix(a, drop_row, drop_col):
-    return tuple([
-        tuple([x for j, x in enumerate(row) if j != drop_col])
-        for i, row in enumerate(a)
-        if i != drop_row
-    ])
 
 
 def _exact_div(a, b):

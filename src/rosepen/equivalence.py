@@ -14,17 +14,18 @@ tier-1 property `test_step_matrices_fix_unimodularity_and_the_state_block`
 proves this on generated systems; nothing here recomputes it.
 
 Only the pencil depends on sigma beyond its consecution pattern.  The
-pieces that do not (the step pairs, the factor matrices, the intermediate
-pencils, U and V, and the target) live in the system's own memo
-(`RosenbrockSystem.memo`): every sigma of a sweep shares them, and they are
-freed with the system.  U and V are multiplied out only when read.  Each
-sigma multiplies its own pencil through the first step only and compares
-the product with the intermediate pencil it must equal.  Once that holds,
-every later step's input is a memoised intermediate pencil, so the verdict
-of steps 2..m-1 is memoised per factor order kept at step 2, and the
-residual, the last product minus the target, is the same for every sigma
-and formed once per system.  The pencil, when not given, is spliced by
-Algorithm 1 (`pencil_algorithm1`), with no factor product.
+pieces that do not (the step pairs, the intermediate pencils, U and V, and
+the target) live in the system's own memo (`RosenbrockSystem.memo`): every
+sigma of a sweep shares them, and they are freed with the system.  U and V
+are multiplied out only when read.  Each sigma multiplies its own pencil
+through the first step only and compares the product with the intermediate
+pencil it must equal.  Once that holds, every later step's input is a
+memoised intermediate pencil, so the verdict of steps 2..m-1 is memoised per
+factor order kept at step 2, and the residual, the last product minus the
+target, is the same for every sigma and formed once per system.  The pencil,
+when not given, is spliced by Algorithm 1 (`pencil_algorithm1`), and each
+intermediate pencil's factor product by the same splice on fewer factors:
+the chain multiplies no Fiedler factor.
 
 Q_i, R_i, T_i, D_i and the target are laid out by `_linalg.embed` from
 their core blocks and block positions, and block transposed by
@@ -41,7 +42,7 @@ from functools import reduce
 
 from . import _linalg
 from ._linalg import EXACT
-from .fiedler import _factor_grid, pencil_algorithm1
+from .fiedler import _factor_grid, _spliced_product, pencil_algorithm1
 from .polymat import Poly, PolyMatrix, horner_shift
 from .system import _system_layout
 
@@ -166,14 +167,6 @@ class _SystemPieces:
     def aux(self, kind, i):
         return self.sys.memo(("aux", kind, i), lambda: aux_matrix(self.sys, kind, i))
 
-    def factor(self, i):
-        """The Fiedler factor M_i as a PolyMatrix."""
-        sys = self.sys
-        return self.sys.memo(
-            ("factor", i),
-            lambda: PolyMatrix.from_scalar_grid(_factor_grid(sys, i), sys.mode),
-        )
-
     def step(self, i, consecution):
         """(left, right) of step i: (Q_i^B, R_i) after a consecution,
         (R_i^B, Q_i) after an inversion."""
@@ -245,6 +238,10 @@ def aux_relations_check(sys, i):
     if not 1 <= i <= m - 1:
         raise ValueError(f"relation index {i} out of range 1..{m - 1}")
     lam = Poly.lam()
+
+    def factor(k):
+        return PolyMatrix.from_scalar_grid(_factor_grid(sys, k), sys.mode)
+
     q = aux_matrix(sys, "Q", i)
     rr = aux_matrix(sys, "R", i)
     t = aux_matrix(sys, "T", i)
@@ -259,9 +256,8 @@ def aux_relations_check(sys, i):
 
     if qb * lam_d * rr.matrix != lam_d_next + t.matrix:
         failures.append(f"(a) Q{i}^B (lam D{i}) R{i} != lam D{i + 1} + T{i}")
-    pieces = _SystemPieces(sys)
-    lo = pieces.factor(m - (i + 1))
-    hi = pieces.factor(m - i)
+    lo = factor(m - (i + 1))
+    hi = factor(m - i)
     if qb * (lo * hi) * rr.matrix != lo + t.matrix:
         failures.append(f"(a) Q{i}^B (M{m - i - 1} M{m - i}) R{i} != M{m - i - 1} + T{i}")
     if rb * lam_d * q.matrix != lam_d_next + tb:
@@ -269,7 +265,7 @@ def aux_relations_check(sys, i):
     if rb * (hi * lo) * q.matrix != lo + tb:
         failures.append(f"(b) R{i}^B (M{m - i} M{m - i - 1}) Q{i} != M{m - i - 1} + T{i}^B")
     for j in range(0, m - i - 1):
-        fj = pieces.factor(j)
+        fj = factor(j)
         if t.matrix * fj != t.matrix or fj * t.matrix != t.matrix:
             failures.append(f"(c) T{i} M{j} = M{j} T{i} = T{i} fails")
         if tb * fj != tb or fj * tb != tb:
@@ -278,17 +274,16 @@ def aux_relations_check(sys, i):
 
 
 def intermediate_pencil(sys, sigma, j):
-    """lam * D_j - M_sigma^(j), keeping only factors with index <= m - j in
-    their original relative order.  j=1 gives the Fiedler pencil itself and
-    j=m gives diag(-I_{(m-1)n}, S(lam))."""
+    """lam * D_j - M_sigma^(j), where M_sigma^(j) is the product of the
+    factors with index <= m - j in their order in sigma, spliced by
+    `fiedler._spliced_product` like Algorithm 1 and not multiplied.  j=1
+    gives the Fiedler pencil itself and j=m gives diag(-I_{(m-1)n}, S(lam))."""
     _require_exact(sys)
     m = sys.m
     if not 1 <= j <= m:
         raise ValueError(f"intermediate index {j} out of range 1..{m}")
-    pieces = _SystemPieces(sys)
-    kept = [i for i in sigma.inverse_order if i <= m - j]
-    prod = reduce(PolyMatrix.__mul__, [pieces.factor(i) for i in kept])
-    return pieces.aux("D", j).matrix.scale(Poly.lam()) - prod
+    prod = PolyMatrix.from_scalar_grid(_spliced_product(sys, sigma, m - j)[0], sys.mode)
+    return _SystemPieces(sys).aux("D", j).matrix.scale(Poly.lam()) - prod
 
 
 def _target(sys):

@@ -9,12 +9,16 @@ sigma^{-1}; the consecution-inversion structure sequence of sigma fixes
 where the single B-row and C-column land in the assembled pencil.
 
 Three construction routes are provided and must agree entrywise: the direct
-factor product, the row/column splicing algorithm, and the block formula
-that borders a classical Fiedler pencil of P.
+factor product, the row/column splicing algorithm (Algorithm 1), and the
+block formula that borders a classical Fiedler pencil of P.  The splice
+builds the product of the factors 0..k for any k, so the same code gives the
+Fiedler pencil (k = m - 1) and the certificate's intermediate pencils
+(`equivalence.intermediate_pencil`).
 
-The factors, their closed-form inverses, the border of the block formula
-and the system block transpose are laid out by `_linalg.embed`: this module
-says only which n x n blocks, state corner and border each one holds.
+The factors, their closed-form inverses, the spliced products, the border
+of the block formula and the system block transpose are laid out by
+`_linalg.embed`: this module says only which n x n blocks, state corner and
+border each one holds.
 """
 
 from __future__ import annotations
@@ -299,76 +303,61 @@ def pencil_direct(sys, sigma):
     )
 
 
-def pencil_algorithm1(sys, sigma):
-    """Factor product built by row/column splicing instead of multiplying.
+def _shifted(pos, consecution):
+    """Block position `pos` after one splice step: a consecution moves a
+    block down, and right unless it is in block column 0; an inversion
+    moves it right, and down unless it is in block row 0."""
+    a, b = pos
+    if consecution:
+        return a + 1, b + (b > 0)
+    return a + (a > 0), b + 1
 
-    Starts from the 2x2-block seed fixed by the consecution/inversion at 0
-    and grows one block row/column per step; the result must match
-    pencil_direct exactly.  Only the lead M_m is a factor grid, read
-    through `_factor_grid`.
+
+def _spliced_product(sys, sigma, k):
+    """The product of the factors 0..k in sigma's order, spliced with no
+    factor product, and the 1-based block (bi, bj) of its -A_0.
+
+    From {(0, 0): -A_0}, step i < k shifts every block (`_shifted`) and
+    puts -A_{i+1} at (0, 0) with I at (0, 1) after a consecution at i, at
+    (1, 0) after an inversion.  The blocks land at m - k..m, with I on the
+    blocks before them; the -C column and the -B row sit in block row bi and
+    block column bj, next to the state corner -A.
+    """
+    n, m, mode, neg = sys.n, sys.m, sys.mode, _linalg.neg
+    eye = _linalg.eye(n, mode)
+    blocks, at = {(0, 0): neg(sys.coefficient(0))}, (0, 0)
+    for i in range(k):
+        consecution = sigma.has_consecution_at(i)
+        blocks = {_shifted(pos, consecution): grid for pos, grid in blocks.items()}
+        at = _shifted(at, consecution)
+        blocks[(0, 0)] = neg(sys.coefficient(i + 1))
+        blocks[(0, 1) if consecution else (1, 0)] = eye
+    p = m - k
+    placed = {(q, q): eye for q in range(1, p)}
+    placed.update({(p + a, p + b): grid for (a, b), grid in blocks.items()})
+    bi, bj = p + at[0], p + at[1]
+    zero = _linalg.coerce_scalar(0, mode)
+    grid = _linalg.embed(n, m, placed, neg(sys.A), zero, (bi, neg(sys.C)), (bj, neg(sys.B)))
+    return grid, bi, bj
+
+
+def pencil_algorithm1(sys, sigma):
+    """lam*M_m - M_sigma with the factor product spliced (Algorithm 1) by
+    `_spliced_product`, not multiplied; the result must match
+    pencil_direct exactly.  The B-row and C-column blocks are those of
+    -A_0.  Only the lead M_m is a factor grid, read through
+    `_factor_grid`.
+
+    The product is laid out with the mode's zero and negated afterwards,
+    so a float pencil's zeros carry the signs of `pencil_direct`'s.
     """
     if sys.m < 2:
         raise ValueError("the splicing construction needs degree m >= 2")
     if sigma.m != sys.m:
         raise ValueError("bijection length does not match the system degree")
-    n, r, m = sys.n, sys.r, sys.m
-    mode = sys.mode
-
-    def neg_coeff(k):
-        return _linalg.neg(sys.coefficient(k))
-
-    eye_n = _linalg.eye(n, mode)
-    neg_b = _linalg.neg(sys.B) if r else _linalg.zeros(0, n, mode)
-    neg_c = _linalg.neg(sys.C) if r else _linalg.zeros(n, 0, mode)
-    neg_a = _linalg.neg(sys.A) if r else ()
-
-    def zblock(h, w):
-        return _linalg.zeros(h, w, mode)
-
-    # w is a block grid; sizes: (i+2) blocks of width n then one of width r
-    if sigma.has_consecution_at(0):
-        w = [
-            [neg_coeff(1), eye_n, zblock(n, r)],
-            [neg_coeff(0), zblock(n, n), neg_c],
-            [neg_b, zblock(r, n), neg_a],
-        ]
-    else:
-        w = [
-            [neg_coeff(1), neg_coeff(0), neg_c],
-            [eye_n, zblock(n, n), zblock(n, r)],
-            [zblock(r, n), neg_b, neg_a],
-        ]
-
-    for i in range(1, m - 1):
-        old = len(w)  # (i + 1) n-blocks + the state block
-        if sigma.has_consecution_at(i):
-            top = [neg_coeff(i + 1), eye_n] + [zblock(n, n)] * i + [zblock(n, r)]
-            body = []
-            for bi in range(old):
-                h = n if bi < old - 1 else r
-                body.append(
-                    [w[bi][0], zblock(h, n)] + list(w[bi][1:])
-                )
-            w = [top] + body
-        else:
-            first_col = [neg_coeff(i + 1), eye_n] + [zblock(n, n)] * (i) + [zblock(r, n)]
-            rest = [list(w[0])] + [[zblock(n, wd) for wd in [n] * (i + 1) + [r]]] + [
-                list(w[bi]) for bi in range(1, old)
-            ]
-            w = [[first_col[bi]] + rest[bi] for bi in range(old + 1)]
-
-    prod = _linalg.from_blocks(w)
-    lead = _factor_grid(sys, m)
-    b_row, c_col = _metadata(sigma)
-    return SystemPencil(
-        lead=lead,
-        const_term=_linalg.neg(prod),
-        n=n,
-        r=r,
-        m=m,
-        b_row_block=b_row,
-        c_col_block=c_col,
-    )
+    prod, c_col, b_row = _spliced_product(sys, sigma, sys.m - 1)
+    lead = _factor_grid(sys, sys.m)
+    return SystemPencil(lead, _linalg.neg(prod), sys.n, sys.r, sys.m, b_row, c_col)
 
 
 def pencil_block_formula(sys, sigma):

@@ -1,16 +1,19 @@
 """Shared fixtures-in-code for the test suite: desk examples, random system
 and REP spec generators (plain and hypothesis), and independent gcd,
-square-free decomposition, determinant, certificate-residual and
-determinant-constant oracles."""
+square-free decomposition, determinant, certificate-residual,
+determinant-constant and intermediate-pencil oracles."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 
 from hypothesis import strategies as st
 
 from rosepen import _linalg
 from rosepen.eigen import pencil_determinant
+from rosepen.equivalence import aux_matrix
+from rosepen.fiedler import make_factor
 from rosepen.polymat import Poly, PolyMatrix, RationalFn, RationalMatrix
 from rosepen.system import RepSpec, RepTerm, RosenbrockSystem
 
@@ -354,3 +357,12 @@ def det_constant_oracle(pencil, det_s):
         return None
     q, rem = divmod(pencil_determinant(pencil), det_s)
     return q.coefficient(0) if rem.is_zero and q.degree == 0 else None
+
+
+def kept_factor_pencil(sys, sigma, j):
+    """lam * D_j minus the product, multiplied out, of the Fiedler factors
+    with index <= m - j in their order in sigma: an independent oracle for
+    `equivalence.intermediate_pencil`, which splices that product."""
+    kept = [i for i in sigma.inverse_order if i <= sys.m - j]
+    prod = reduce(_linalg.mul, [make_factor(sys, i).matrix for i in kept])
+    return aux_matrix(sys, "D", j).matrix.scale(LAM) - PolyMatrix.from_scalar_grid(prod)

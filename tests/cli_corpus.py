@@ -9,11 +9,12 @@ is a diff of two runs of this script:
     PYTHONPATH=/path/to/parent/src python tests/cli_corpus.py > parent.txt
     diff parent.txt head.txt
 
-The corpus covers `build` (exact and float), `zeros` (exact and numeric) on
-`rand_system` systems with m = 1..4, most of them with irrational zeros, on
-`rand_rep_spec` specs and on the hand-written specs, `verify --all`,
-`realize` and `smith`.  The name does not match pytest's `test_*.py`, so the
-suite does not collect it.
+The corpus covers `build` (exact and float), `zeros` (exact, numeric, and
+numeric on float input) on `rand_system` systems with m = 1..4, most of them
+with irrational zeros, on `rand_rep_spec` specs and on the hand-written
+specs, `verify --all`, `realize` and `smith`.  A float `zeros` run on a spec
+of degree >= 2 is the CLI path that splices a float pencil.  The name does
+not match pytest's `test_*.py`, so the suite does not collect it.
 """
 
 import contextlib
@@ -77,6 +78,7 @@ def commands():
             (name, doc, ["build", "--mode", "float"]),
             (name, doc, ["zeros"]),
             (name, doc, ["zeros", "--backend", "numeric"]),
+            (name, doc, ["zeros", "--mode", "float", "--backend", "numeric"]),
             (name, doc, ["smith"]),
         ]
         if m >= 2:
@@ -91,6 +93,7 @@ def commands():
             (name, doc, ["realize"]),
             (name, doc, ["zeros"]),
             (name, doc, ["zeros", "--backend", "numeric"]),
+            (name, doc, ["zeros", "--mode", "float", "--backend", "numeric"]),
             (name, doc, ["zeros", "--sigma", "1,0"]),
         ]
     return out

@@ -9,7 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import LAM, ONE, certificate_residual, desk1_system, exact_systems, rand_system
+from _helpers import (
+    LAM,
+    ONE,
+    certificate_residual,
+    desk1_system,
+    exact_systems,
+    kept_factor_pencil,
+    rand_system,
+)
 from rosepen import _linalg as L
 from rosepen import equivalence
 from rosepen.equivalence import (
@@ -142,6 +150,41 @@ def test_intermediate_desk1_m2_coincides():
             [Poly.zero(), ONE, Poly([1, -1])],
         ]
     )
+
+
+@settings(max_examples=30, deadline=None)
+@given(exact_systems())
+def test_intermediate_pencils_are_the_kept_factor_products(sys):
+    # the splice of factors 0..m-j against their product multiplied out
+    for perm in permutations(range(sys.m)):
+        sigma = Bijection(perm)
+        for j in range(1, sys.m + 1):
+            assert intermediate_pencil(sys, sigma, j) == kept_factor_pencil(sys, sigma, j), (perm, j)
+
+
+def _count_products(monkeypatch):
+    """The list that gains one item per PolyMatrix product from now on."""
+    calls = []
+    mul = PolyMatrix.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(PolyMatrix, "__mul__", counting)
+    return calls
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_cold_certificate_multiplies_only_the_chain_steps(monkeypatch, m):
+    # two products per step, 2(m-1) in all: the intermediate pencils are
+    # spliced, so no Fiedler factor is multiplied even on a cold memo
+    sys = rand_system(random.Random(199 + m), 1, 1, m)
+    sigma = Bijection(tuple(range(m)))
+    pencil = pencil_algorithm1(sys, sigma)
+    calls = _count_products(monkeypatch)
+    assert build_certificate(sys, sigma, pencil=pencil).residual_zero
+    assert len(calls) == 2 * (m - 1)
 
 
 # --- certificates ---------------------------------------------------------------
@@ -294,14 +337,7 @@ def test_certificate_multiplies_the_pencil_once(monkeypatch):
     sigma = Bijection((2, 0, 1, 3))
     pencil = pencil_algorithm1(sys, sigma)
     build_certificate(sys, sigma, pencil=pencil)  # warms the per-system memo
-    calls = []
-    mul = PolyMatrix.__mul__
-
-    def counting(self, other):
-        calls.append(1)
-        return mul(self, other)
-
-    monkeypatch.setattr(PolyMatrix, "__mul__", counting)
+    calls = _count_products(monkeypatch)
     cert = build_certificate(sys, sigma, pencil=pencil)
     assert cert.residual_zero
     assert len(calls) == 2

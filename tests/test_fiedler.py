@@ -1,6 +1,7 @@
 """Fiedler factors, bijections/CISS, the three pencil constructions,
 companion forms, block transposition, and pentadiagonal structure."""
 
+import hashlib
 import math
 import random
 from itertools import permutations
@@ -209,18 +210,18 @@ def test_block_formula_metadata_matches_ciss():
         for perm in permutations(range(m)):
             sigma = Bijection(perm)
             s = ciss(sigma)
-            p = pencil_direct(sys, sigma)
-            if s.c1 > 0:
-                assert (p.b_row_block, p.c_col_block) == (m - s.c1, m)
-            else:
-                assert (p.b_row_block, p.c_col_block) == (m, m - s.i1)
-            # the borders really live in the advertised blocks
-            sizes = [sys.n] * m + [sys.r]
-            for bi in range(1, m + 1):
-                cblock = block(p.const_term, bi, m + 1, sizes)
-                bblock = block(p.const_term, m + 1, bi, sizes)
-                assert L.eq(cblock, sys.C) == (bi == p.c_col_block)
-                assert L.eq(bblock, sys.B) == (bi == p.b_row_block)
+            want = (m - s.c1, m) if s.c1 > 0 else (m, m - s.i1)
+            # the splice reads its border blocks off -A_0, not off the CISS
+            for route in (pencil_direct, pencil_algorithm1, pencil_block_formula):
+                p = route(sys, sigma)
+                assert (p.b_row_block, p.c_col_block) == want, (route.__name__, perm)
+                # the borders really live in the advertised blocks
+                sizes = [sys.n] * m + [sys.r]
+                for bi in range(1, m + 1):
+                    cblock = block(p.const_term, bi, m + 1, sizes)
+                    bblock = block(p.const_term, m + 1, bi, sizes)
+                    assert L.eq(cblock, sys.C) == (bi == p.c_col_block)
+                    assert L.eq(bblock, sys.B) == (bi == p.b_row_block)
 
 
 # --- companion forms -------------------------------------------------------------
@@ -442,3 +443,47 @@ def test_float_pencils_of_systems_equal_up_to_signed_zeros():
         pencil_direct(first, sigma)
         got = pencil_direct(second, sigma).lead[2][3]
         assert got == 0 and math.copysign(1.0, got) == -math.copysign(1.0, second.E[0][1])
+
+
+def _float_system(seed, n, r, m):
+    """A seeded `rand_system` in float mode, each zero entry given the sign
+    of a coin toss."""
+    rng = random.Random(seed)
+    exact = rand_system(rng, n, r, m)
+
+    def grid(g):
+        return [[float(x) if x or rng.random() < 0.5 else -0.0 for x in row] for row in g]
+
+    grids = [grid(exact.coefficient(k)) for k in range(m + 1)]
+    P = PolyMatrix.from_coefficient_grids(grids, "float")
+    if r == 0:
+        return RosenbrockSystem(P)
+    return RosenbrockSystem(P, grid(exact.A), grid(exact.E), grid(exact.B), grid(exact.C))
+
+
+# sha256 over every sigma, in `permutations` order, of
+# repr((lead, const_term, b_row_block, c_col_block)) of the spliced pencil,
+# keyed by (n, r, m, seed); these bytes, signed zeros included, were taken
+# from the splice of an explicit block grid flattened row by row
+_FLOAT_SPLICE_SHA256 = {
+    (1, 0, 2, 2120): "2b0d5a3ef6a030c400ed6fa9a49e6f46c788ecbf04e0a93cf0ff9e67c973fb84",
+    (2, 1, 2, 2121): "58e167112d941cbee7d6cf3e3d6ac9cb99755e919b5e66b3860623f2923876e7",
+    (1, 2, 2, 2122): "f37a77abe81eef78d8d89f5cea95460377842c74a388e6ed05b6a02d65d3ef4a",
+    (2, 0, 3, 2130): "fb8365e0678e015352bb7276b93bb01277967448c0f77bdd4be3ba2996541f64",
+    (1, 1, 3, 2131): "2b0ccc838f90ddb3a387d1b90137991139fe34c30936913a8adeae79af11e677",
+    (2, 2, 3, 2132): "b1c6dfb795d8e0a2350b01aeaa2e9fd0204aa06362f70550ded529decc576d3c",
+    (1, 0, 4, 2140): "ed44eb02f8cace791c49fcf89c3e2975bb67357a49a6dc64b606e6c42da693c7",
+    (2, 1, 4, 2141): "bf0c1c790a5d7d7d391370ef8e3b178331d3d9672cd23faa91979e5c1f8cfbe7",
+    (1, 2, 4, 2142): "8fbb0d60ac714f8d422da38b32804fe2122dbbb60cdcbc739b91dbaa8cc1b20f",
+}
+
+
+@pytest.mark.parametrize("key", sorted(_FLOAT_SPLICE_SHA256))
+def test_float_splice_bytes_are_pinned(key):
+    n, r, m, seed = key
+    sys = _float_system(seed, n, r, m)
+    digest = hashlib.sha256()
+    for perm in permutations(range(m)):
+        p = pencil_algorithm1(sys, Bijection(perm))
+        digest.update(repr((p.lead, p.const_term, p.b_row_block, p.c_col_block)).encode())
+    assert digest.hexdigest() == _FLOAT_SPLICE_SHA256[key]
