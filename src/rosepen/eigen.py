@@ -17,7 +17,10 @@ the intersection and the multiplicity indices are read from that same
 base: each zero is listed with the one base element it is a root of,
 which is a pole exactly when it divides det(lam*E - A), and whose
 exponents in the Smith-McMillan numerators and denominators are the
-zero's indices.
+zero's indices.  That Smith-McMillan form is taken from G = N / d over one
+common denominator: the numerators are minors of S(lam), d is
+det(lam*E - A) with its gcd with all of them divided out, and no entry of
+G is reduced on its own.
 """
 
 from __future__ import annotations
@@ -30,15 +33,15 @@ from . import _linalg, _roots
 from ._linalg import EXACT
 from ._roots import MATCH_TOL
 from .fiedler import Bijection, pencil_algorithm1, pencil_direct
-from .polymat import gcd_free_base, poly_matrix_det, smith_mcmillan, zero_pole_polys
+from .polymat import _smith_mcmillan_over, gcd_free_base, poly_matrix_det, zero_pole_polys
 from .system import (
     RosenbrockSystem,
     SingularStateError,
+    _transfer_parts,
     is_minimal,
     realize,
     state_det,
     system_det,
-    transfer_function,
 )
 
 __all__ = [
@@ -207,14 +210,16 @@ def classify_zeros(sys, sigma=None, backend="exact", pencil=None):
     is an eigenpole exactly when its element divides det(lam*E - A), and
     its ind_phi and ind_psi are that element's exponents in the numerators
     and in the reversed denominators, so no value is compared with a
-    tolerance.
+    tolerance.  The Smith-McMillan form is that of N / d for G's numerator
+    matrix N over its common denominator d (`system._transfer_parts`): no
+    `transfer_function`, no lcm of entry denominators.
     Passing `pencil` is for the numeric backend only.
 
     The numeric backend runs QZ on `pencil`, the Fiedler pencil of sigma
     (first companion by default) built by the product when not given,
     clusters roots and matches zeros with poles by the scale-relative
     `MATCH_TOL`.  det(lam*E - A) is the system's memoised `state_det`,
-    which `transfer_function` shares.
+    which G's common denominator shares.
     """
     if not sys.e_is_nonsingular():
         raise SingularStateError("E is singular")
@@ -255,7 +260,7 @@ def classify_zeros(sys, sigma=None, backend="exact", pencil=None):
         return ZeroReport((), (), singular=True, note=note, **provenance)
 
     if backend == "exact":
-        sm = smith_mcmillan(transfer_function(sys))
+        sm = _smith_mcmillan_over(*_transfer_parts(sys))
         psi_g = zero_pole_polys(sm)[1]
         k = len(sm.numerators)
         base, exps = gcd_free_base(

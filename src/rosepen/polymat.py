@@ -278,6 +278,13 @@ def _monic(f):
     return Poly._trusted([Fraction(c, f[-1]) for c in f], EXACT)
 
 
+def _with_leading(f, lead):
+    """The exact polynomial with the ratios of the integer coefficient list
+    f and leading coefficient `lead`."""
+    c = lead / f[-1]
+    return Poly._trusted([c * x for x in f], EXACT)
+
+
 def _primitive_part(coeffs):
     """Coprime integer coefficients with the ratios of `coeffs` (ints or
     Fractions, no trailing zero): denominators cleared, content divided
@@ -337,6 +344,31 @@ def _exact_quotient(f, g):
             for j in range(dg):
                 r[i + j] -= c * g[j]
     return None if any(r[:dg]) else q
+
+
+def _lowest_terms(nums, den):
+    """The nums[k] / den over one common denominator in lowest terms: the
+    numerators over d and d, the monic lcm of the entries' reduced
+    denominators, for exact polynomials and a nonzero exact den.
+
+    With h = gcd(den, every nonzero numerator), that lcm is den / h made
+    monic, and each numerator is nums[k] * d / den; both are exact
+    divisions of primitive integer parts by h, and the gcd stops at the
+    first constant.  For one entry this is the fraction in lowest terms
+    with a monic denominator.
+    """
+    base = _primitive_part(den.coeffs)
+    h = base
+    for p in nums:
+        if len(h) == 1:
+            break
+        if not p.is_zero:
+            h = _primitive_gcd(h, _primitive_part(p.coeffs))
+    return [
+        p if p.is_zero
+        else _with_leading(_exact_quotient(_primitive_part(p.coeffs), h), p.leading / den.leading)
+        for p in nums
+    ], _monic(_exact_quotient(base, h))
 
 
 def _derivative(f):
@@ -409,13 +441,9 @@ class RationalFn:
         if den.is_zero:
             raise ZeroDivisionError("rational function with zero denominator")
         if num.mode == EXACT:
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num, den = num // g, den // g
-        lead = den.leading
-        if lead != 1:
-            num = num * (1 / Fraction(lead) if num.mode == EXACT else 1.0 / lead)
-            den = den.monic()
+            (num,), den = _lowest_terms([num], den)
+        elif den.leading != 1:
+            num, den = num * (1.0 / den.leading), den.monic()
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -1085,9 +1113,10 @@ class RationalMatrix:
 def smith_mcmillan(matrix):
     """Smith-McMillan form of an exact rational matrix.
 
-    Clears denominators with d = monic lcm of all entry denominators, takes
-    the Smith form of N = d * G, and reduces each epsilon_i / d to lowest
-    terms with both parts monic.
+    Clears denominators with d = monic lcm of all entry denominators and
+    hands N = d * G to `_smith_mcmillan_over`.  The lcm serves a caller's
+    `RationalMatrix` only: a caller that holds G over a common denominator
+    already, as `eigen.classify_zeros` does, calls the core directly.
     """
     if matrix.mode != EXACT:
         raise ValueError("Smith-McMillan form requires exact mode")
@@ -1101,6 +1130,14 @@ def smith_mcmillan(matrix):
             for row in matrix.entries
         ])
     )
+    return _smith_mcmillan_over(numer, d)
+
+
+def _smith_mcmillan_over(numer, d):
+    """Smith-McMillan form of N / d for an exact polynomial matrix N and a
+    monic d: the Smith form of N, then each epsilon_i / d reduced to lowest
+    terms with both parts monic (Rosenbrock 1970; Kailath, Linear Systems,
+    section 6.5)."""
     sf = smith_form(numer)
     eps = [Poly.one()] * sf.identity_count + list(sf.invariant_polys)
     nums, dens = [], []

@@ -25,6 +25,7 @@ from .polymat import (
     PolyMatrix,
     RationalFn,
     RationalMatrix,
+    _lowest_terms,
     poly_matrix_det,
     smith_form,
 )
@@ -219,17 +220,30 @@ def state_pencil(sys):
 
 
 def transfer_function(sys):
-    """G(lam) = P(lam) + C (lam*E - A)^{-1} B, computed exactly.
+    """G(lam) = P(lam) + C (lam*E - A)^{-1} B, computed exactly: entry
+    (i, j) is N[i][j] / d for the parts of `_transfer_parts`, in lowest
+    terms, so every entry comes out as an honest rational function over
+    Q[lam]."""
+    numer, d = _transfer_parts(sys)
+    return RationalMatrix([[RationalFn(p, d) for p in row] for row in numer.entries])
+
+
+def _transfer_parts(sys):
+    """G(lam) over one common denominator: (N, d) with G = N / d, d the
+    monic lcm of the denominators of G's reduced entries and N = d * G, the
+    polynomial matrix whose Smith form gives the Smith-McMillan form.
 
     By the Schur complement of A - lam*E in S(lam), each entry is
     g_ij = (-1)^r det S_ij / det(lam*E - A), where S_ij keeps row i and
-    column j of P and every state row and column of S(lam); so every entry
-    comes out as an honest rational function over Q[lam].
+    column j of P and every state row and column of S(lam).  d is
+    det(lam*E - A), the memoised `state_det`, divided by its gcd with every
+    numerator (`polymat._lowest_terms`); no entry is reduced on its own.
+    r = 0 gives (P, 1).
     """
     if sys.mode != EXACT:
         raise ValueError("transfer_function requires exact mode")
     if sys.r == 0:
-        return RationalMatrix.from_poly_matrix(sys.P)
+        return sys.P, Poly.one()
     det = state_det(sys)
     if det.is_zero:
         raise SingularStateError("state pencil lam*E - A is singular")
@@ -240,9 +254,8 @@ def transfer_function(sys):
         minor = poly_matrix_det(PolyMatrix([[s[a][b] for b in (j, *state)] for a in (i, *state)]))
         return -minor if sys.r % 2 else minor
 
-    return RationalMatrix(
-        [[RationalFn(numerator(i, j), det) for j in range(sys.n)] for i in range(sys.n)]
-    )
+    nums, d = _lowest_terms([numerator(i, j) for i in range(sys.n) for j in range(sys.n)], det)
+    return PolyMatrix([nums[i * sys.n : (i + 1) * sys.n] for i in range(sys.n)]), d
 
 
 def _pencil_zero_polynomial(matrix):

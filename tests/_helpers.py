@@ -1,7 +1,8 @@
 """Shared fixtures-in-code for the test suite: desk examples, random system
 and REP spec generators (plain and hypothesis), and independent gcd,
-square-free decomposition, determinant, certificate-residual,
-determinant-constant and intermediate-pencil oracles."""
+lowest-terms, transfer-function, square-free decomposition, determinant,
+certificate-residual, determinant-constant and intermediate-pencil
+oracles."""
 
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from rosepen.eigen import pencil_determinant
 from rosepen.equivalence import aux_matrix
 from rosepen.fiedler import make_factor
 from rosepen.polymat import Poly, PolyMatrix, RationalFn, RationalMatrix
-from rosepen.system import RepSpec, RepTerm, RosenbrockSystem
+from rosepen.system import RepSpec, RepTerm, RosenbrockSystem, assemble_system_matrix
 
 LAM = Poly.lam()
 ONE = Poly.one()
@@ -273,10 +274,10 @@ _SCALAR = st.integers(-3, 3) | st.builds(Fraction, st.integers(-9, 9), st.intege
 
 
 @st.composite
-def exact_systems(draw, degrees=st.integers(2, 4)):
-    """Exact systems with integer and p/q entries, n <= 2, r <= 2 and m drawn
-    from `degrees` (2..4 by default)."""
-    n, r, m = draw(st.integers(1, 2)), draw(st.integers(0, 2)), draw(degrees)
+def exact_systems(draw, degrees=st.integers(2, 4), states=st.integers(0, 2)):
+    """Exact systems with integer and p/q entries, n <= 2, r drawn from
+    `states` (0..2 by default) and m from `degrees` (2..4 by default)."""
+    n, r, m = draw(st.integers(1, 2)), draw(states), draw(degrees)
 
     def grid(h, w):
         return [[draw(_SCALAR) for _ in range(w)] for _ in range(h)]
@@ -323,6 +324,34 @@ def euclid_gcd(a, b):
     while not b.is_zero:
         a, b = b, (a % b).monic()
     return a.monic()
+
+
+def floordiv_reduce(num, den):
+    """num / den in lowest terms with a monic denominator, by `euclid_gcd`
+    and `Poly.__floordiv__` over `Fraction`: an independent oracle for the
+    reduction in `RationalFn.__init__`.  Returns (num, den)."""
+    g = euclid_gcd(num, den)
+    if g.degree > 0:
+        num, den = num // g, den // g
+    return num * (1 / Fraction(den.leading)), den.monic()
+
+
+def transfer_oracle(sys):
+    """G(lam) of an exact system with r >= 1 from its Schur complement:
+    entry (i, j) is (-1)^r det S_ij / det(lam*E - A) with both determinants
+    by `bareiss_det`, reduced by `floordiv_reduce`, so neither the
+    library's determinant nor its reduction is used."""
+    s = assemble_system_matrix(sys).entries
+    state = range(sys.n, sys.n + sys.r)
+    det = bareiss_det(PolyMatrix([[-s[a][b] for b in state] for a in state]))
+    entries = []
+    for i in range(sys.n):
+        row = []
+        for j in range(sys.n):
+            minor = bareiss_det(PolyMatrix([[s[a][b] for b in (j, *state)] for a in (i, *state)]))
+            row.append(RationalFn(*floordiv_reduce(minor * (-1) ** sys.r, det)))
+        entries.append(row)
+    return RationalMatrix(entries)
 
 
 def square_free_decomposition(p):

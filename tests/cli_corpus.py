@@ -11,10 +11,11 @@ is a diff of two runs of this script:
 
 The corpus covers `build` (exact and float), `zeros` (exact, numeric, and
 numeric on float input) on `rand_system` systems with m = 1..4, most of them
-with irrational zeros, on `rand_rep_spec` specs and on the hand-written
-specs, `verify --all`, `realize` and `smith`.  A float `zeros` run on a spec
-of degree >= 2 is the CLI path that splices a float pencil.  The name does
-not match pytest's `test_*.py`, so the suite does not collect it.
+with irrational zeros, and one with B = 0, on `rand_rep_spec` specs with
+n = 1..3 and on the hand-written specs, `verify --all`, `realize` and
+`smith`.  A float `zeros` run on a spec of degree >= 2 is the CLI path that
+splices a float pencil.  The name does not match pytest's `test_*.py`, so
+the suite does not collect it.
 """
 
 import contextlib
@@ -36,7 +37,8 @@ from rosepen.cli import main
 
 def systems():
     """name -> system document: two seeds of every (1, r, m) and one of
-    every (2, r, m), r = 0..3, m = 1..4, plus p/q variants of every third."""
+    every (2, r, m), r = 0..3, m = 1..4, plus p/q variants of every third,
+    and one (2, 2, 2) system with B = 0."""
     docs = {"desk1": DESK1, "eigenpole": rio.encode_system(eigenpole_index_system())}
     for n, seeds in ((1, 2), (2, 1)):
         for m in range(1, 5):
@@ -47,21 +49,25 @@ def systems():
                     docs[f"sys-n{n}r{r}m{m}-{seed}"] = rio.encode_system(sys_)
     for k, name in enumerate(list(docs)[2::3]):
         docs[name + "q"] = _rationalise(docs[name], k)
+    # B = 0: every state is an input-decoupling zero and G = P
+    b0 = rio.encode_system(rand_system(random.Random(2230), 2, 2, 2))
+    docs["sys-n2r2m2-b0"] = {**b0, "B": [[0, 0], [0, 0]]}
     return docs
 
 
 def specs():
-    """name -> REP spec document: `rand_rep_spec` over n = 1, 2, one to
-    three terms and deg P up to 1..3, and the hand-written specs."""
+    """name -> REP spec document: `rand_rep_spec` over n = 1, 2 (two seeds)
+    and n = 3 (one seed), one to three terms and deg P up to 1..3, and the
+    hand-written specs."""
     docs = {
         "desk1-spec": rio.encode_rep_spec(desk1_spec()),
         "exnoevl-spec": rio.encode_rep_spec(exnoevl_spec()),
         **HAND_SPECS,
     }
-    for n in (1, 2):
+    for n in (1, 2, 3):
         for terms in (1, 2, 3):
             for deg in (1, 2, 3):
-                for s in range(2):
+                for s in range(2 if n < 3 else 1):
                     seed = 5000 + 1000 * n + 100 * terms + 10 * deg + s
                     spec = rand_rep_spec(random.Random(seed), n, terms, deg)
                     docs[f"spec-n{n}t{terms}d{deg}-{seed}"] = rio.encode_rep_spec(spec)

@@ -238,6 +238,26 @@ def test_exact_zeros_reads_det_s_and_builds_no_pencil(kind, tmp_path, capsys, mo
     assert all(matrix.rows != sys.n * sys.m + sys.r for (matrix,) in dets)
 
 
+def test_exact_zeros_takes_g_over_one_common_denominator(tmp_path, capsys, monkeypatch):
+    # the Smith-McMillan form is read from G's numerators over
+    # det(lam*E - A) reduced once: no transfer_function, no lcm of n^2
+    # entry denominators, no public smith_mcmillan (here n = 2, r = 3)
+    calls = _count_calls(
+        monkeypatch,
+        ((system, "transfer_function"), (polymat, "poly_lcm"), (polymat, "smith_mcmillan")),
+    )
+    doc = {
+        "P": [[[-2, 0, 1], [0, 1]], [[1], [1, 0, 1]]],
+        "terms": [
+            {"num": [1], "den": [-1, 1], "matrix": [[1, 0], [0, 1]]},
+            {"num": [2, 1], "den": [3, 1], "matrix": [[1, 1], [1, 1]]},
+        ],
+    }
+    code, out, _ = run(capsys, "zeros", "--input", write(tmp_path, "spec.json", doc))
+    assert code == 0 and json.loads(out)["zeros"]
+    assert calls == {"transfer_function": [], "poly_lcm": [], "smith_mcmillan": []}
+
+
 def test_numeric_zeros_solves_one_product_pencil(tmp_path, capsys, monkeypatch):
     calls = _count_calls(monkeypatch, _PENCIL_WORK)
     doc = rio.encode_system(rand_system(random.Random(1631), 2, 2, 3))

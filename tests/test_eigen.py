@@ -21,9 +21,11 @@ from _helpers import (
     desk1_system,
     eigenpole_index_matrix,
     eigenpole_index_system,
+    exact_systems,
     exnoevl_spec,
     rand_rep_spec,
     rand_system,
+    transfer_oracle,
 )
 from rosepen.eigen import (
     EIGENPOLE,
@@ -50,6 +52,8 @@ from rosepen.polymat import (
     RationalFn,
     poly_matrix_det,
     smith_form,
+    _smith_mcmillan_over,
+    poly_gcd,
     smith_form_with_transforms,
     smith_mcmillan,
     zero_pole_polys,
@@ -59,8 +63,11 @@ from rosepen.system import (
     RepTerm,
     RosenbrockSystem,
     SingularStateError,
+    _transfer_parts,
     assemble_system_matrix,
+    is_minimal,
     realize,
+    state_det,
     state_pencil,
     system_det,
     transfer_function,
@@ -628,6 +635,117 @@ def test_exact_zeros_of_near_coincident_factors_with_different_indices(case):
     _assert_zeros_of_near_coincident_quadratics(
         report, [(b, c, tuple(sorted(q_exps))), (b, c - eps, tuple(sorted(eps_exps)))]
     )
+
+
+# --- G over one common denominator ---------------------------------------------------
+
+@st.composite
+def _transfer_systems(draw):
+    """`exact_systems` with m = 1..3 and r = 0..3, some of them with a state
+    cut off from the input (B = 0, or a last state with a zero row of B and
+    no coupling in A and E) or from the output (C = 0, or the dual)."""
+    sys = draw(exact_systems(degrees=st.integers(1, 3), states=st.integers(0, 3)))
+    cut = draw(st.sampled_from(["none", "none", "B = 0", "C = 0", "input", "output"]))
+    if sys.r == 0 or cut == "none":
+        return sys
+    r, n = sys.r, sys.n
+    a, e = [list(row) for row in sys.A], [list(row) for row in sys.E]
+    b, c = [list(row) for row in sys.B], [list(row) for row in sys.C]
+    if cut == "B = 0":
+        b = [[0] * n for _ in range(r)]
+    elif cut == "C = 0":
+        c = [[0] * r for _ in range(n)]
+    else:
+        for k in range(r - 1):
+            a[k][r - 1] = a[r - 1][k] = e[k][r - 1] = e[r - 1][k] = 0
+        if cut == "input":
+            b[r - 1] = [0] * n
+        else:
+            for row in c:
+                row[r - 1] = 0
+    return RosenbrockSystem(sys.P, a, e, b, c)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_transfer_systems())
+def test_smith_mcmillan_over_the_common_denominator_matches_the_lcm_route(sys):
+    assume(not state_det(sys).is_zero)
+    numer, d = _transfer_parts(sys)
+    g = transfer_function(sys)
+    assert _smith_mcmillan_over(numer, d) == smith_mcmillan(g)
+    if sys.r == 0:
+        assert (numer, d) == (sys.P, ONE)
+        return
+    # the parts are the lcm route's d and d * G for the oracle's G
+    oracle = transfer_oracle(sys)
+    assert g == oracle
+    lcm = ONE
+    for row in oracle.entries:
+        for f in row:
+            lcm = (lcm * f.den) // poly_gcd(lcm, f.den)
+    assert d == lcm.monic()
+    assert numer == PolyMatrix([[f.num * (d // f.den) for f in row] for row in oracle.entries])
+
+
+def _parts_and_oracle(sys):
+    numer, d = _transfer_parts(sys)
+    assert _smith_mcmillan_over(numer, d) == smith_mcmillan(transfer_oracle(sys))
+    return numer, d
+
+
+@pytest.mark.parametrize("zero", ["B", "C"])
+def test_transfer_parts_of_a_decoupled_input_or_output_are_p_over_one(zero):
+    # every numerator is det(lam*E - A) * P_ij, so h = det(lam*E - A)
+    sys = rand_system(random.Random(2203), 2, 3, 2)
+    b = [[0, 0]] * 3 if zero == "B" else sys.B
+    c = [[0] * 3] * 2 if zero == "C" else sys.C
+    sys = RosenbrockSystem(sys.P, sys.A, sys.E, b, c)
+    assert not is_minimal(sys)
+    assert _parts_and_oracle(sys) == (sys.P, ONE)
+
+
+def test_transfer_parts_keep_zero_entries():
+    sys = realize(exnoevl_spec())
+    numer, d = _parts_and_oracle(sys)
+    assert d == Poly([-2, 1])
+    assert numer[1, 0].is_zero and not numer[0, 1].is_zero
+
+
+def test_transfer_parts_of_a_rank_two_term_drop_the_repeated_pole():
+    # a rank-2 residue at lam = 1 realizes with two states there, so
+    # det(lam*E - A) = (lam - 1)^2 while G has the simple pole lam - 1
+    spec = RepSpec(
+        PolyMatrix([[LAM, ONE], [Poly.zero(), LAM]]),
+        (RepTerm(RationalFn(ONE, Poly([-1, 1])), [[1, 0], [0, 2]]),),
+    )
+    sys = realize(spec)
+    assert state_det(sys).monic() == Poly([-1, 1]) ** 2
+    numer, d = _parts_and_oracle(sys)
+    assert d == Poly([-1, 1])
+    assert numer == PolyMatrix([[Poly([1, -1, 1]), Poly([-1, 1])], [Poly.zero(), Poly([2, -1, 1])]])
+
+
+def test_exact_classify_builds_no_rational_function(monkeypatch):
+    # G reaches the Smith-McMillan form as N / d: no entry is reduced and
+    # no common denominator is rebuilt
+    sys = realize(rand_rep_spec(random.Random(2207), 3, 3, 2))
+    counts = {"RationalFn": 0, "poly_lcm": 0}
+    init, lcm = RationalFn.__init__, polymat.poly_lcm
+
+    def counting_init(self, *args):
+        counts["RationalFn"] += 1
+        init(self, *args)
+
+    def counting_lcm(*args):
+        counts["poly_lcm"] += 1
+        return lcm(*args)
+
+    monkeypatch.setattr(RationalFn, "__init__", counting_init)
+    monkeypatch.setattr(polymat, "poly_lcm", counting_lcm)
+    report = classify_zeros(sys)
+    assert report.zeros and counts == {"RationalFn": 0, "poly_lcm": 0}
+    smith_mcmillan(transfer_function(sys))
+    assert counts == {"RationalFn": 9, "poly_lcm": 9}
 
 
 # --- solve_rep -----------------------------------------------------------------------

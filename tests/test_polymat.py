@@ -15,6 +15,7 @@ from _helpers import (
     bareiss_det,
     cofactor_det,
     euclid_gcd,
+    floordiv_reduce,
     naive_poly_matmul,
     naive_poly_op,
     square_free_decomposition,
@@ -213,6 +214,39 @@ def test_rational_fn_reduced_and_monic_denominator():
     g = RationalFn(ONE, Poly([4, 2]))  # 1/(2 lam + 4)
     assert g.den == Poly([2, 1]) and g.num == Poly([F(1, 2)])
     assert f + g == RationalFn(Poly([2, F(3, 2)]), Poly([0, 2, 1]))
+
+
+@st.composite
+def _fractions(draw):
+    """num / den pairs with a nonzero den scaled off monic and a planted
+    common factor, or a zero num."""
+    common = draw(_polys(3).filter(lambda p: not p.is_zero))
+    den = common * draw(_polys(2).filter(lambda p: not p.is_zero))
+    den = den * draw(_GCD_SCALAR.filter(lambda c: c not in (0, 1)))
+    num = draw(st.sampled_from([common, ONE, Poly.zero()])) * draw(_polys(3))
+    return num, den
+
+
+@settings(max_examples=200, deadline=None)
+@given(_fractions())
+def test_rational_fn_lowest_terms_match_the_floordiv_oracle(fraction):
+    f = RationalFn(*fraction)
+    assert (f.num, f.den) == floordiv_reduce(*fraction)
+
+
+def test_rational_fn_reduces_without_polynomial_division(monkeypatch):
+    calls = []
+    divmod_poly = Poly.__divmod__
+
+    def counting(self, other):
+        calls.append(1)
+        return divmod_poly(self, other)
+
+    monkeypatch.setattr(Poly, "__divmod__", counting)
+    common = Poly([F(-1, 3), F(2, 7), 1])
+    f = RationalFn(common * Poly([F(5, 11), F(-3, 2)]), common * Poly([4, F(2, 3)]))
+    assert calls == []
+    assert f.num == Poly([F(15, 22), F(-9, 4)]) and f.den == Poly([6, 1])
 
 
 # --- poly_matrix_eval -------------------------------------------------------
