@@ -278,13 +278,6 @@ def _monic(f):
     return Poly._trusted([Fraction(c, f[-1]) for c in f], EXACT)
 
 
-def _with_leading(f, lead):
-    """The exact polynomial with the ratios of the integer coefficient list
-    f and leading coefficient `lead`."""
-    c = lead / f[-1]
-    return Poly._trusted([c * x for x in f], EXACT)
-
-
 def _primitive_part(coeffs):
     """Coprime integer coefficients with the ratios of `coeffs` (ints or
     Fractions, no trailing zero): denominators cleared, content divided
@@ -364,11 +357,15 @@ def _lowest_terms(nums, den):
             break
         if not p.is_zero:
             h = _primitive_gcd(h, _primitive_part(p.coeffs))
-    return [
-        p if p.is_zero
-        else _with_leading(_exact_quotient(_primitive_part(p.coeffs), h), p.leading / den.leading)
-        for p in nums
-    ], _monic(_exact_quotient(base, h))
+    out = []
+    for p in nums:
+        if not p.is_zero:
+            # p * d / den has the ratios of p / h and lead(p) / lead(den)
+            q = _exact_quotient(_primitive_part(p.coeffs), h)
+            c = p.leading / den.leading / q[-1]
+            p = Poly._trusted([c * x for x in q], EXACT)
+        out.append(p)
+    return out, _monic(_exact_quotient(base, h))
 
 
 def _derivative(f):
