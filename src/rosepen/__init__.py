@@ -58,7 +58,6 @@ from .polymat import (
     horner_shift,
     multiplicity_index,
     poly_gcd,
-    poly_lcm,
     poly_matrix_det,
     poly_matrix_eval,
     smith_form,

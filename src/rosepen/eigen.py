@@ -17,10 +17,11 @@ the intersection and the multiplicity indices are read from that same
 base: each zero is listed with the one base element it is a root of,
 which is a pole exactly when it divides det(lam*E - A), and whose
 exponents in the Smith-McMillan numerators and denominators are the
-zero's indices.  That Smith-McMillan form is taken from G = N / d over one
-common denominator: the numerators are minors of S(lam), d is
-det(lam*E - A) with its gcd with all of them divided out, and no entry of
-G is reduced on its own.
+zero's indices.  That form is `smith_mcmillan(transfer_function(sys))`,
+and `transfer_function` holds G = N / d over one common denominator: the
+numerators are minors of S(lam), d is det(lam*E - A) with its gcd with
+all of them divided out, and no entry of G is reduced on its own.
+Numeric zeros and poles are matched by one rule (`_on_a_pole`).
 """
 
 from __future__ import annotations
@@ -33,15 +34,15 @@ from . import _linalg, _roots
 from ._linalg import EXACT
 from ._roots import MATCH_TOL
 from .fiedler import Bijection, pencil_algorithm1, pencil_direct
-from .polymat import _smith_mcmillan_over, gcd_free_base, poly_matrix_det, zero_pole_polys
+from .polymat import gcd_free_base, poly_matrix_det, smith_mcmillan, zero_pole_polys
 from .system import (
     RosenbrockSystem,
     SingularStateError,
-    _transfer_parts,
     is_minimal,
     realize,
     state_det,
     system_det,
+    transfer_function,
 )
 
 __all__ = [
@@ -135,8 +136,9 @@ def eig_eip_split(zero_poly, pole_poly):
     Exact mode lists the roots of zero_poly over a gcd-free base of the two
     polynomials (`_roots.base_roots`), so each root comes with its base
     element; a root is shared when its element divides pole_poly, and so
-    divides gcd(zero_poly, pole_poly).  Float mode matches numeric root
-    sets with the scale-relative `MATCH_TOL`.
+    divides gcd(zero_poly, pole_poly).  Float mode matches numeric zeros
+    with the raw numeric roots of pole_poly as numeric `classify_zeros`
+    does (`_on_a_pole`).
     """
     zero_poly = zero_poly.monic()
     pole_poly = pole_poly.monic()
@@ -149,14 +151,23 @@ def eig_eip_split(zero_poly, pole_poly):
             (eip if pole_exps[j] else eig).append(v)
         return eig, eip
     zeros = [v for v, _ in _roots.all_roots(zero_poly)]
-    poles = (
-        [v for v, _ in _roots.all_roots(pole_poly)]
-        if pole_poly.degree > 0
-        else []
-    )
-    eig = [v for v in zeros if not any(_roots.close(v, p) for p in poles)]
-    eip = [v for v in zeros if any(_roots.close(v, p) for p in poles)]
+    on_pole = _on_a_pole(zeros, _roots.numeric_roots(pole_poly))
+    eig = [v for v, p in zip(zeros, on_pole) if not p]
+    eip = [v for v, p in zip(zeros, on_pole) if p]
     return eig, eip
+
+
+def _on_a_pole(zeros, poles):
+    """For each numeric zero, whether it lies on one of the numeric poles.
+
+    An eigensolver splits a defective pole of multiplicity k into copies
+    about eps**(1/k) apart, which can leave a zero on that pole farther
+    than `MATCH_TOL` from every copy.  The mean of the copies stays
+    accurate, so a zero matches a pole within `MATCH_TOL` or the mean of
+    poles grouped within sqrt(MATCH_TOL).
+    """
+    targets = poles + [c for c, k in _roots.cluster(poles, MATCH_TOL**0.5) if k > 1]
+    return [any(_roots.close(z, p) for p in targets) for z in zeros]
 
 
 @dataclass(frozen=True)
@@ -210,16 +221,15 @@ def classify_zeros(sys, sigma=None, backend="exact", pencil=None):
     is an eigenpole exactly when its element divides det(lam*E - A), and
     its ind_phi and ind_psi are that element's exponents in the numerators
     and in the reversed denominators, so no value is compared with a
-    tolerance.  The Smith-McMillan form is that of N / d for G's numerator
-    matrix N over its common denominator d (`system._transfer_parts`): no
-    `transfer_function`, no lcm of entry denominators.
+    tolerance.  The Smith-McMillan form is that of `transfer_function`,
+    which holds G as N / d over one common denominator.
     Passing `pencil` is for the numeric backend only.
 
     The numeric backend runs QZ on `pencil`, the Fiedler pencil of sigma
     (first companion by default) built by the product when not given,
-    clusters roots and matches zeros with poles by the scale-relative
-    `MATCH_TOL`.  det(lam*E - A) is the system's memoised `state_det`,
-    which G's common denominator shares.
+    clusters roots and matches zeros with poles by `_on_a_pole`, as
+    `eig_eip_split` does.  det(lam*E - A) is the system's memoised
+    `state_det`, which G's common denominator shares.
     """
     if not sys.e_is_nonsingular():
         raise SingularStateError("E is singular")
@@ -260,7 +270,7 @@ def classify_zeros(sys, sigma=None, backend="exact", pencil=None):
         return ZeroReport((), (), singular=True, note=note, **provenance)
 
     if backend == "exact":
-        sm = _smith_mcmillan_over(*_transfer_parts(sys))
+        sm = smith_mcmillan(transfer_function(sys))
         psi_g = zero_pole_polys(sm)[1]
         k = len(sm.numerators)
         base, exps = gcd_free_base(
@@ -299,23 +309,11 @@ def classify_zeros(sys, sigma=None, backend="exact", pencil=None):
         pole_roots = [complex(v) for v in raw if np.isfinite(v)]
     else:
         pole_roots = []
-    # QZ splits a defective pole of multiplicity k into copies about
-    # eps**(1/k) apart, which can leave a zero on that pole farther than
-    # MATCH_TOL from every copy.  The mean of the copies stays accurate, so
-    # zeros are also matched against the means of poles grouped within
-    # sqrt(MATCH_TOL).
-    targets = pole_roots + [
-        c for c, k in _roots.cluster(pole_roots, MATCH_TOL**0.5) if k > 1
+    values = [value for value, _mult in gep.eigenvalues]
+    zeros = [
+        ZeroEntry(value=value, classification=EIGENPOLE if is_pole else EIGENVALUE)
+        for value, is_pole in zip(values, _on_a_pole(values, pole_roots))
     ]
-    zeros = []
-    for value, _mult in gep.eigenvalues:
-        is_pole = any(_roots.close(value, p) for p in targets)
-        zeros.append(
-            ZeroEntry(
-                value=value,
-                classification=EIGENPOLE if is_pole else EIGENVALUE,
-            )
-        )
     poles = tuple([PoleEntry(value=v) for v, _ in _roots.cluster(pole_roots)])
     return ZeroReport(tuple(zeros), poles, note=note, **provenance)
 

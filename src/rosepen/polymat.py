@@ -9,6 +9,11 @@ backend.
 
 The zero polynomial is encoded with degree -1 and an empty coefficient
 tuple, which keeps divisibility checks free of special cases.
+
+A rational matrix G is held as N / d, a polynomial matrix over one monic
+denominator in lowest terms, the form the Smith-McMillan form is defined
+on: every constructor reduces once over all entries (`_lowest_terms`), and
+entries are read back as `RationalFn`s on demand.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
-from math import factorial, gcd, lcm
+from math import factorial, gcd, lcm, prod
 
 from . import _linalg
 from ._linalg import EXACT, FLOAT, coerce_scalar
@@ -31,7 +36,6 @@ __all__ = [
     "SmithForm",
     "SmithMcMillanForm",
     "poly_gcd",
-    "poly_lcm",
     "gcd_free_base",
     "poly_matrix_eval",
     "poly_matrix_det",
@@ -312,13 +316,6 @@ def _pseudo_remainder(f, g):
     return r
 
 
-def poly_lcm(a, b):
-    if a.is_zero or b.is_zero:
-        return Poly.zero()
-    g = poly_gcd(a, b)
-    return ((a * b) // g).monic()
-
-
 def _exact_quotient(f, g):
     """f / g for integer coefficient lists with g primitive, or None when g
     does not divide f.  By Gauss's lemma a primitive g that divides f over
@@ -525,16 +522,15 @@ class RationalFn:
 
 
 def _root_multiplicity(p, lam0):
+    """Multiplicity of the rational point lam0 as a root of an exact p: how
+    many times the primitive b*lam - a, for lam0 = a/b, divides p's
+    primitive integer part (`_multiplicity`)."""
     if p.is_zero:
         raise ValueError("zero polynomial has no root multiplicity")
-    factor = Poly((-lam0, 1), p.mode)
-    mult = 0
-    while True:
-        q, r = divmod(p, factor)
-        if not r.is_zero:
-            return mult
-        p = q
-        mult += 1
+    if p.mode != EXACT:
+        raise ValueError("root multiplicity requires exact mode")
+    lam0 = Fraction(lam0)
+    return _multiplicity(_primitive_part(p.coeffs), [-lam0.numerator, lam0.denominator])
 
 
 class PolyMatrix:
@@ -1027,9 +1023,14 @@ def smith_form_matrix(form, rows, cols, mode=EXACT):
 
 
 class RationalMatrix:
-    """Dense matrix of rational functions sharing one field mode."""
+    """Exact rational matrix G = N / d: a polynomial matrix `numer` over one
+    monic denominator `den`, in lowest terms (no factor of d divides every
+    entry of N).  For a given G that pair is unique, so it is G's form for
+    equality, hashing and the Smith-McMillan form; d is the monic lcm of
+    the denominators of G's reduced entries and N = d * G.
+    """
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("numer", "den")
 
     def __init__(self, entries):
         entries = tuple([tuple(row) for row in entries])
@@ -1045,60 +1046,74 @@ class RationalMatrix:
                     raise TypeError("RationalMatrix entries must be RationalFn")
                 if e.mode != mode:
                     raise ValueError("mixed field modes in RationalMatrix")
-        object.__setattr__(self, "rows", len(entries))
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
+        if mode != EXACT:
+            raise ValueError("RationalMatrix requires exact entries")
+        # the product of the distinct denominators is a common multiple;
+        # each entry's numerator takes the product of the others
+        dens = dict.fromkeys([e.den for row in entries for e in row])
+        rest = {d: prod([x for x in dens if x != d], start=Poly.one()) for d in dens}
+        numer = PolyMatrix._trusted(
+            tuple([tuple([e.num * rest[e.den] for e in row]) for row in entries])
+        )
+        self._reduce(numer, prod(dens, start=Poly.one()))
+
+    @classmethod
+    def over(cls, numer, den):
+        """G = numer / den for an exact PolyMatrix and a nonzero exact Poly,
+        in any terms."""
+        if numer.mode != EXACT or den.mode != EXACT:
+            raise ValueError("RationalMatrix requires exact entries")
+        if den.is_zero:
+            raise ZeroDivisionError("rational matrix with zero denominator")
+        g = object.__new__(cls)
+        g._reduce(numer, den)
+        return g
+
+    def _reduce(self, numer, den):
+        """Store numer / den in lowest terms, reduced once by
+        `_lowest_terms` over all entries."""
+        flat, den = _lowest_terms([e for row in numer.entries for e in row], den)
+        k = numer.cols
+        rows = tuple([tuple(flat[i : i + k]) for i in range(0, len(flat), k)])
+        object.__setattr__(self, "numer", PolyMatrix._trusted(rows))
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalMatrix is immutable")
 
     @property
+    def rows(self):
+        return self.numer.rows
+
+    @property
+    def cols(self):
+        return self.numer.cols
+
+    @property
     def mode(self):
-        return self.entries[0][0].mode
+        return self.den.mode
+
+    @property
+    def entries(self):
+        """The entries N_ij / d as reduced `RationalFn`s, built on each read."""
+        return tuple([tuple([RationalFn(p, self.den) for p in row]) for row in self.numer.entries])
 
     @classmethod
     def from_poly_matrix(cls, matrix):
-        return cls(
-            tuple([
-                tuple([RationalFn.from_poly(e) for e in row])
-                for row in matrix.entries
-            ])
-        )
+        return cls.over(matrix, Poly.one())
 
     def __getitem__(self, key):
-        i, j = key
-        return self.entries[i][j]
-
-    def __add__(self, other):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("dimension mismatch")
-        return RationalMatrix(
-            tuple([
-                tuple([a + b for a, b in zip(ra, rb)])
-                for ra, rb in zip(self.entries, other.entries)
-            ])
-        )
-
-    def __sub__(self, other):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("dimension mismatch")
-        return RationalMatrix(
-            tuple([
-                tuple([a - b for a, b in zip(ra, rb)])
-                for ra, rb in zip(self.entries, other.entries)
-            ])
-        )
+        return RationalFn(self.numer[key], self.den)
 
     def __eq__(self, other):
         return (
             isinstance(other, RationalMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
+            and self.numer == other.numer
+            and self.den == other.den
         )
 
     def __hash__(self):
-        return hash(self.entries)
+        return hash((self.numer, self.den))
 
     def __repr__(self):
         body = "; ".join(
@@ -1108,40 +1123,15 @@ class RationalMatrix:
 
 
 def smith_mcmillan(matrix):
-    """Smith-McMillan form of an exact rational matrix.
-
-    Clears denominators with d = monic lcm of all entry denominators and
-    hands N = d * G to `_smith_mcmillan_over`.  The lcm serves a caller's
-    `RationalMatrix` only: a caller that holds G over a common denominator
-    already, as `eigen.classify_zeros` does, calls the core directly.
-    """
-    if matrix.mode != EXACT:
-        raise ValueError("Smith-McMillan form requires exact mode")
-    d = Poly.one()
-    for row in matrix.entries:
-        for e in row:
-            d = poly_lcm(d, e.den)
-    numer = PolyMatrix(
-        tuple([
-            tuple([e.num * (d // e.den) for e in row])
-            for row in matrix.entries
-        ])
-    )
-    return _smith_mcmillan_over(numer, d)
-
-
-def _smith_mcmillan_over(numer, d):
-    """Smith-McMillan form of N / d for an exact polynomial matrix N and a
-    monic d: the Smith form of N, then each epsilon_i / d reduced to lowest
-    terms with both parts monic (Rosenbrock 1970; Kailath, Linear Systems,
-    section 6.5)."""
-    sf = smith_form(numer)
-    eps = [Poly.one()] * sf.identity_count + list(sf.invariant_polys)
+    """Smith-McMillan form of a rational matrix G = N / d: the Smith form of
+    N, then each epsilon_i / d in lowest terms with both parts monic
+    (Rosenbrock 1970; Kailath, Linear Systems, section 6.5)."""
+    sf = smith_form(matrix.numer)
     nums, dens = [], []
-    for e in eps:
-        g = poly_gcd(e, d)
-        nums.append((e // g).monic())
-        dens.append((d // g).monic())
+    for e in [Poly.one()] * sf.identity_count + list(sf.invariant_polys):
+        (num,), den = _lowest_terms([e], matrix.den)
+        nums.append(num)
+        dens.append(den)
     return SmithMcMillanForm(
         numerators=tuple(nums),
         denominators=tuple(dens),

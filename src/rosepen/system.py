@@ -9,6 +9,12 @@ C (n-by-r); the associated system matrix is
     S(lam) = [ P(lam)  C          ]
              [ B       A - lam*E  ].
 
+The transfer function G(lam) = P(lam) + C (lam*E - A)^{-1} B comes out
+as a `RationalMatrix` N / d: each numerator is a minor of S(lam), and d is
+det(lam*E - A) reduced once against all of them.  `rep_spec_matrix` gives
+the G a spec defines in the same form, over the product of its term
+denominators.
+
 r = 0 is supported throughout and collapses every construction to the
 classical matrix-polynomial case.
 """
@@ -17,6 +23,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from math import prod
 
 from . import _linalg, _roots
 from ._linalg import EXACT, FLOAT
@@ -25,7 +32,6 @@ from .polymat import (
     PolyMatrix,
     RationalFn,
     RationalMatrix,
-    _lowest_terms,
     poly_matrix_det,
     smith_form,
 )
@@ -220,30 +226,19 @@ def state_pencil(sys):
 
 
 def transfer_function(sys):
-    """G(lam) = P(lam) + C (lam*E - A)^{-1} B, computed exactly: entry
-    (i, j) is N[i][j] / d for the parts of `_transfer_parts`, in lowest
-    terms, so every entry comes out as an honest rational function over
-    Q[lam]."""
-    numer, d = _transfer_parts(sys)
-    return RationalMatrix([[RationalFn(p, d) for p in row] for row in numer.entries])
-
-
-def _transfer_parts(sys):
-    """G(lam) over one common denominator: (N, d) with G = N / d, d the
-    monic lcm of the denominators of G's reduced entries and N = d * G, the
-    polynomial matrix whose Smith form gives the Smith-McMillan form.
+    """G(lam) = P(lam) + C (lam*E - A)^{-1} B, computed exactly as N / d in
+    lowest terms (`RationalMatrix`).
 
     By the Schur complement of A - lam*E in S(lam), each entry is
     g_ij = (-1)^r det S_ij / det(lam*E - A), where S_ij keeps row i and
-    column j of P and every state row and column of S(lam).  d is
-    det(lam*E - A), the memoised `state_det`, divided by its gcd with every
-    numerator (`polymat._lowest_terms`); no entry is reduced on its own.
-    r = 0 gives (P, 1).
+    column j of P and every state row and column of S(lam).  Those minors
+    over det(lam*E - A), the memoised `state_det`, are reduced once
+    together; no entry is reduced on its own.  r = 0 gives P / 1.
     """
     if sys.mode != EXACT:
         raise ValueError("transfer_function requires exact mode")
     if sys.r == 0:
-        return sys.P, Poly.one()
+        return RationalMatrix.over(sys.P, Poly.one())
     det = state_det(sys)
     if det.is_zero:
         raise SingularStateError("state pencil lam*E - A is singular")
@@ -254,8 +249,8 @@ def _transfer_parts(sys):
         minor = poly_matrix_det(PolyMatrix([[s[a][b] for b in (j, *state)] for a in (i, *state)]))
         return -minor if sys.r % 2 else minor
 
-    nums, d = _lowest_terms([numerator(i, j) for i in range(sys.n) for j in range(sys.n)], det)
-    return PolyMatrix([nums[i * sys.n : (i + 1) * sys.n] for i in range(sys.n)]), d
+    numer = PolyMatrix([[numerator(i, j) for j in range(sys.n)] for i in range(sys.n)])
+    return RationalMatrix.over(numer, det)
 
 
 def _pencil_zero_polynomial(matrix):
@@ -454,15 +449,16 @@ def realize(spec):
 
 
 def rep_spec_matrix(spec):
-    """The rational matrix P(lam) + sum_j s_j(lam) C_j defined by a spec."""
-    entries = [
-        [RationalFn.from_poly(spec.P.entries[i][j]) for j in range(spec.n)]
-        for i in range(spec.n)
-    ]
-    for term in spec.terms:
-        for i in range(spec.n):
-            for j in range(spec.n):
-                cij = term.matrix[i][j]
-                if cij != 0:
-                    entries[i][j] = entries[i][j] + term.coeff * cij
-    return RationalMatrix(entries)
+    """The rational matrix P(lam) + sum_j s_j(lam) C_j defined by an exact
+    spec, as N / d over d, the product of the term denominators: N is
+    d * P plus each C_j scaled by the numerator of s_j times the other
+    denominators."""
+    one = Poly.one(spec.mode)
+    dens = [t.coeff.den for t in spec.terms]
+    d = prod(dens, start=one)
+    numer = spec.P.scale(d)
+    for k, term in enumerate(spec.terms):
+        rest = prod(dens[:k] + dens[k + 1 :], start=one)
+        c = PolyMatrix.from_scalar_grid(term.matrix, spec.mode)
+        numer = numer + c.scale(term.coeff.num * rest)
+    return RationalMatrix.over(numer, d)

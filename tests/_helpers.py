@@ -1,8 +1,8 @@
 """Shared fixtures-in-code for the test suite: desk examples, random system
 and REP spec generators (plain and hypothesis), and independent gcd,
-lowest-terms, transfer-function, square-free decomposition, determinant,
-certificate-residual, determinant-constant and intermediate-pencil
-oracles."""
+lowest-terms, transfer-function, Smith-McMillan, square-free
+decomposition, determinant, certificate-residual, determinant-constant and
+intermediate-pencil oracles."""
 
 from __future__ import annotations
 
@@ -15,7 +15,14 @@ from rosepen import _linalg
 from rosepen.eigen import pencil_determinant
 from rosepen.equivalence import aux_matrix
 from rosepen.fiedler import make_factor
-from rosepen.polymat import Poly, PolyMatrix, RationalFn, RationalMatrix
+from rosepen.polymat import (
+    Poly,
+    PolyMatrix,
+    RationalFn,
+    RationalMatrix,
+    SmithMcMillanForm,
+    smith_form,
+)
 from rosepen.system import RepSpec, RepTerm, RosenbrockSystem, assemble_system_matrix
 
 LAM = Poly.lam()
@@ -352,6 +359,25 @@ def transfer_oracle(sys):
             row.append(RationalFn(*floordiv_reduce(minor * (-1) ** sys.r, det)))
         entries.append(row)
     return RationalMatrix(entries)
+
+
+def lcm_smith_mcmillan(g):
+    """Smith-McMillan form of a rational matrix by the lcm route: d the
+    monic lcm of its entries' denominators and N = d * G entry by entry,
+    both by `euclid_gcd` and `Poly.__floordiv__`, then the Smith form of N
+    and each epsilon_i / d reduced by `euclid_gcd`: an independent oracle
+    for `polymat.smith_mcmillan`, which reads N and d off G."""
+    d = ONE
+    for row in g.entries:
+        for f in row:
+            d = (d * f.den // euclid_gcd(d, f.den)).monic()
+    sf = smith_form(PolyMatrix([[f.num * (d // f.den) for f in row] for row in g.entries]))
+    nums, dens = [], []
+    for e in [ONE] * sf.identity_count + list(sf.invariant_polys):
+        h = euclid_gcd(e, d)
+        nums.append((e // h).monic())
+        dens.append((d // h).monic())
+    return SmithMcMillanForm(tuple(nums), tuple(dens), sf.zero_rows, sf.zero_cols)
 
 
 def square_free_decomposition(p):

@@ -240,12 +240,18 @@ def test_exact_zeros_reads_det_s_and_builds_no_pencil(kind, tmp_path, capsys, mo
 
 def test_exact_zeros_takes_g_over_one_common_denominator(tmp_path, capsys, monkeypatch):
     # the Smith-McMillan form is read from G's numerators over
-    # det(lam*E - A) reduced once: no transfer_function, no lcm of n^2
-    # entry denominators, no public smith_mcmillan (here n = 2, r = 3)
+    # det(lam*E - A) reduced once: one transfer_function, one
+    # smith_mcmillan and no entry reduced on its own (here n = 2, r = 3)
     calls = _count_calls(
-        monkeypatch,
-        ((system, "transfer_function"), (polymat, "poly_lcm"), (polymat, "smith_mcmillan")),
+        monkeypatch, ((system, "transfer_function"), (polymat, "smith_mcmillan"))
     )
+    fns = []
+    init = polymat.RationalFn.__init__
+
+    def counting_init(self, *args):
+        fns.append(args)
+        init(self, *args)
+
     doc = {
         "P": [[[-2, 0, 1], [0, 1]], [[1], [1, 0, 1]]],
         "terms": [
@@ -253,9 +259,12 @@ def test_exact_zeros_takes_g_over_one_common_denominator(tmp_path, capsys, monke
             {"num": [2, 1], "den": [3, 1], "matrix": [[1, 1], [1, 1]]},
         ],
     }
+    monkeypatch.setattr(polymat.RationalFn, "__init__", counting_init)
     code, out, _ = run(capsys, "zeros", "--input", write(tmp_path, "spec.json", doc))
     assert code == 0 and json.loads(out)["zeros"]
-    assert calls == {"transfer_function": [], "poly_lcm": [], "smith_mcmillan": []}
+    assert {k: len(v) for k, v in calls.items()} == {"transfer_function": 1, "smith_mcmillan": 1}
+    # the decoder builds each term's coefficient; nothing else builds one
+    assert len(fns) == len(doc["terms"])
 
 
 def test_numeric_zeros_solves_one_product_pencil(tmp_path, capsys, monkeypatch):

@@ -97,6 +97,51 @@ d = lcm(*[x for x in y])
     assert _tuples_from_generators(ast.parse(source)) == [2, 4]
 
 
+def _private_imports(tree):
+    """(module, name) for every private name imported from a public module
+    of the package (`from .module import _name`); names from the private
+    modules, such as `_linalg` and `_roots`, do not count."""
+    found = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom) or not node.module:
+            continue
+        module = node.module.removeprefix("rosepen.") if node.level == 0 else node.module
+        if (node.level == 1 or node.module.startswith("rosepen.")) and not module.startswith("_"):
+            found |= {(module, a.name) for a in node.names if a.name.startswith("_")}
+    return found
+
+
+def test_private_names_cross_modules_only_where_pinned():
+    found = {
+        (path.stem, module, name)
+        for path in sorted(SRC.glob("*.py"))
+        for module, name in _private_imports(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert found == {
+        ("equivalence", "fiedler", "_factor_grid"),
+        ("equivalence", "fiedler", "_spliced_product"),
+        ("equivalence", "system", "_system_layout"),
+    }
+
+
+def test_the_scan_finds_private_imports():
+    source = """
+from . import _linalg
+from ._roots import _divisors
+from .polymat import Poly, _lowest_terms
+from rosepen.system import _system_layout
+from rosepen._linalg import _x
+
+def f():
+    from .eigen import _on_a_pole
+"""
+    assert _private_imports(ast.parse(source)) == {
+        ("polymat", "_lowest_terms"),
+        ("system", "_system_layout"),
+        ("eigen", "_on_a_pole"),
+    }
+
+
 def _benchmark_spans():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)

@@ -16,6 +16,7 @@ from _helpers import (
     cofactor_det,
     euclid_gcd,
     floordiv_reduce,
+    lcm_smith_mcmillan,
     naive_poly_matmul,
     naive_poly_op,
     square_free_decomposition,
@@ -30,7 +31,6 @@ from rosepen.polymat import (
     horner_shift,
     multiplicity_index,
     poly_gcd,
-    poly_lcm,
     poly_matrix_det,
     poly_matrix_eval,
     smith_form,
@@ -69,7 +69,6 @@ def test_poly_divmod_and_gcd():
     assert r.is_zero and q * b == a
     g = poly_gcd(a, Poly([-3, 1]) * Poly([7, 1]))
     assert g == Poly([-3, 1])
-    assert poly_lcm(Poly([-1, 1]), Poly([-1, 0, 1])) == Poly([-1, 0, 1])
 
 
 def test_poly_mode_never_switches_silently():
@@ -633,6 +632,61 @@ def test_smith_mcmillan_of_promoted_poly_matrix_matches_smith_form():
     )
 
 
+# --- RationalMatrix as N / d ---------------------------------------------------
+
+_GRID_SCALAR = st.integers(-3, 3) | st.builds(F, st.integers(-5, 5), st.integers(1, 4))
+_POLE_FACTORS = (Poly([-1, 1]), Poly([2, 1]), Poly([1, 0, 1]), Poly([F(1, 2), 1]))
+
+
+@st.composite
+def _rational_grids(draw):
+    """1..3 by 1..3 grids of exact `RationalFn`: numerators of degree up to
+    3 (zero included), denominators a nonzero constant times up to three of
+    a few shared factors, so entries share poles, and in some entries a
+    factor planted in both parts."""
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    factor = st.sampled_from(_POLE_FACTORS)
+
+    def entry():
+        num = Poly(draw(st.lists(_GRID_SCALAR, max_size=4)))
+        den = Poly([draw(_GRID_SCALAR.filter(bool))])
+        for f in draw(st.lists(factor, max_size=3)):
+            den = den * f
+        planted = draw(st.sampled_from((ONE, ONE) + _POLE_FACTORS))
+        return RationalFn(num * planted, den * planted)
+
+    return [[entry() for _ in range(cols)] for _ in range(rows)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _rational_grids(),
+    st.sampled_from([ONE, Poly([-1, 1]), Poly([3, 0, 2]), Poly([F(-2, 3)])]),
+)
+def test_rational_matrix_is_its_entries_over_their_monic_lcm(grid, q):
+    g = RationalMatrix(grid)
+    assert [list(row) for row in g.entries] == grid
+    assert all(g[i, j] == f for i, row in enumerate(grid) for j, f in enumerate(row))
+    # one form for G, whatever the terms it is given in
+    other = RationalMatrix.over(g.numer.scale(q), g.den * q)
+    assert other == g and hash(other) == hash(g)
+    lcm = ONE
+    for row in grid:
+        for f in row:
+            lcm = lcm * f.den // euclid_gcd(lcm, f.den)
+    assert g.den == lcm.monic()
+    assert g.numer == PolyMatrix([[f.num * (g.den // f.den) for f in row] for row in grid])
+    assert smith_mcmillan(g) == lcm_smith_mcmillan(g)
+
+
+def test_rational_matrix_rejects_float_entries():
+    f = RationalFn(Poly([1.0]), Poly([-1.0, 1.0]))
+    with pytest.raises(ValueError):
+        RationalMatrix([[f]])
+    with pytest.raises(ValueError):
+        RationalMatrix.over(PolyMatrix([[Poly([1.0])]]), Poly([-1.0, 1.0]))
+
+
 # --- zero_pole_polys / multiplicity_index ------------------------------------
 
 def test_zero_pole_polys_pole_example():
@@ -651,6 +705,24 @@ def test_zero_pole_polys_desk1_scalar():
     g = RationalMatrix([[RationalFn(Poly([1, 0, -1, 1]), Poly([-1, 1]))]])
     phi, psi = zero_pole_polys(smith_mcmillan(g))
     assert phi == Poly([1, 0, -1, 1]) and psi == Poly([-1, 1])
+
+
+def test_multiplicity_index_divides_no_polynomial(monkeypatch):
+    # the multiplicities are exact quotients of primitive integer parts
+    calls = []
+    divmod_poly = Poly.__divmod__
+
+    def counting(self, other):
+        calls.append(1)
+        return divmod_poly(self, other)
+
+    sm = smith_mcmillan(diag_index_example())
+    monkeypatch.setattr(Poly, "__divmod__", counting)
+    assert multiplicity_index(sm, 2, "pole") == (0, 2)
+    assert multiplicity_index(sm, F(1, 2), "zero") == (0, 0)
+    f = RationalFn(Poly([F(1, 4), -1, 1]) ** 2, Poly([F(-1, 2), 1]) * Poly([0, 1]))
+    assert f.order_at(F(1, 2)) == 3 and f.order_at(0) == -1
+    assert calls == []
 
 
 def test_multiplicity_index_diag_example():
