@@ -1,9 +1,10 @@
 """Dense constant-matrix helpers shared by the higher level modules.
 
 Grids are tuples of tuple rows.  Entries are `fractions.Fraction` in exact
-mode and `float` in float mode; nothing here ever mixes the two.  numpy only
-enters through the float-mode rank helper, all exact work stays in pure
-Python so equality is decidable.
+mode and `float` in float mode; nothing here ever mixes the two.  numpy and
+scipy only enter through the float-mode helpers (rank and QZ, `qz_eig`, the
+one route to `scipy.linalg.eig`); all exact work stays in pure Python so
+equality is decidable.
 
 `embed` is the one layout of every (nm + r)-square structured matrix of the
 construction, on scalar and `Poly` entries alike: the Fiedler factors and
@@ -216,6 +217,24 @@ def rref(a):
         if r == rows:
             break
     return freeze(w), tuple(pivots)
+
+
+class ConvergenceError(ArithmeticError):
+    """LAPACK's QZ iteration did not converge on a float pencil."""
+
+
+def qz_eig(a, b, homogeneous=False):
+    """Generalized eigenvalues of the float pencil (a, b) by QZ
+    (`scipy.linalg.eig`): the values, or the (alpha, beta) pair arrays when
+    `homogeneous`.  Raises ConvergenceError, not numpy's LinAlgError, when
+    the iteration fails, as it can on entries near the float range."""
+    import numpy as np
+    import scipy.linalg
+
+    try:
+        return scipy.linalg.eig(a, b, right=False, homogeneous_eigvals=homogeneous)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(str(exc)) from exc
 
 
 def to_float_array(a):

@@ -19,7 +19,7 @@ from functools import lru_cache
 from itertools import permutations
 
 from . import io as rio
-from ._linalg import EXACT, FLOAT
+from ._linalg import EXACT, FLOAT, ConvergenceError
 from .eigen import classify_zeros, solve_rep
 from .equivalence import CertificateError, build_certificate
 from .fiedler import Bijection, ciss, pencil_algorithm1, pencil_direct
@@ -127,6 +127,9 @@ def cmd_zeros(args):
     except OverflowError as exc:
         # exact input whose numbers (or pencil entries) exceed binary64
         return _fail(EXIT_PARSE, f"numbers beyond the float range: {exc}")
+    except ConvergenceError as exc:
+        # float entries near the range's end can stall LAPACK's QZ
+        return _fail(EXIT_PARSE, f"QZ eigensolver failed: {exc}")
     if report.singular:
         return _fail(EXIT_SINGULAR_PENCIL, "singular pencil: spectrum undefined")
     _emit(rio.dumps(rio.encode_zero_report(report)), args.out)

@@ -105,11 +105,10 @@ def solve_gep(pencil, backend="exact"):
         raise ValueError("backend must be 'exact' or 'numeric'")
 
     import numpy as np
-    import scipy.linalg
 
     a = -_linalg.to_float_array(pencil.const_term)
     b = _linalg.to_float_array(pencil.lead)
-    alpha, beta = scipy.linalg.eig(a, b, right=False, homogeneous_eigvals=True)
+    alpha, beta = _linalg.qz_eig(a, b, homogeneous=True)
     finite = []
     degenerate = 0
     scale = max(1.0, float(np.abs(a).max()), float(np.abs(b).max()))
@@ -300,12 +299,11 @@ def classify_zeros(sys, sigma=None, backend="exact", pencil=None):
 
     # numeric backend: poles from a dense generalized eigensolver on (A, E)
     import numpy as np
-    import scipy.linalg
 
     if sys.r > 0:
         a = _linalg.to_float_array(sys.A)
         e = _linalg.to_float_array(sys.E)
-        raw = scipy.linalg.eig(a, e, right=False)
+        raw = _linalg.qz_eig(a, e)
         pole_roots = [complex(v) for v in raw if np.isfinite(v)]
     else:
         pole_roots = []

@@ -17,8 +17,8 @@ Only the pencil depends on sigma beyond its consecution pattern.  The
 pieces that do not (the step pairs, the intermediate pencils, U and V, and
 the target) live in the system's own memo (`RosenbrockSystem.memo`): every
 sigma of a sweep shares them, and they are freed with the system.  U and V
-are multiplied out only when read.  Each sigma multiplies its own pencil
-through the first step only and compares the product with the intermediate
+are multiplied out only when read.  Each sigma takes its own pencil
+through the first step only and compares the result with the intermediate
 pencil it must equal.  Once that holds, every later step's input is a
 memoised intermediate pencil, so the verdict of steps 2..m-1 is memoised per
 factor order kept at step 2, and the residual, the last product minus the
@@ -26,6 +26,15 @@ target, is the same for every sigma and formed once per system.  The pencil,
 when not given, is spliced by Algorithm 1 (`pencil_algorithm1`), and each
 intermediate pencil's factor product by the same splice on fewer factors:
 the chain multiplies no Fiedler factor.
+
+Nor is a step a matrix product.  Its left and right matrices equal the
+identity outside block rows and columns i and i+1 (the I_r state block
+included), so `_apply_step` recomputes only those at most 2n rows of the
+left product, then those at most 2n columns of the right one, each entry
+from the same terms as in the full product, and keeps every other entry
+as it is.  Each result is still compared whole with its intermediate
+pencil, so a pencil forged at any entry fails at the same step and entry
+as under full products.  A certificate makes no `PolyMatrix` product.
 
 Q_i, R_i, T_i, D_i and the target are laid out by `_linalg.embed` from
 their core blocks and block positions, and block transposed by
@@ -156,6 +165,48 @@ def aux_block_transpose(aux, sys):
     )
 
 
+@dataclass(frozen=True)
+class _Step:
+    """One chain step, x -> left * x * right.  Both matrices equal the
+    identity outside `lines`: the rows of left and the columns of right in
+    block rows and columns i and i+1."""
+
+    left: AuxMatrix
+    right: AuxMatrix
+    lines: range
+
+
+def _products(rows, other, cols, zero):
+    """The entries in the column range `cols` of rows * other, as one tuple
+    per row, each summed term by term as `PolyMatrix.__mul__` sums it: over
+    the nonzero entries of the row, a constant-one entry contributing the
+    entry of `other` itself."""
+    nonzero = [[(j - cols.start, row[j]) for j in cols if row[j].coeffs] for row in other]
+    out = []
+    for row in rows:
+        acc = [None] * len(cols)
+        for a, terms in zip(row, nonzero):
+            if a.coeffs and terms:
+                one = a.coeffs == (1,)
+                for j, b in terms:
+                    t = b if one else a * b
+                    acc[j] = t if acc[j] is None else acc[j] + t
+        out.append(tuple([zero if e is None else e for e in acc]))
+    return out
+
+
+def _apply_step(step, x):
+    """step.left * x * step.right, with the terms of the two products but
+    only for the rows of x in `step.lines`, then only for those columns of
+    every row; every other entry is kept as it is."""
+    zero = Poly.zero(EXACT)
+    lo, hi = step.lines.start, step.lines.stop
+    rows = list(x.entries)
+    rows[lo:hi] = _products(step.left.matrix.entries[lo:hi], rows, range(x.cols), zero)
+    cols = _products(rows, step.right.matrix.entries, step.lines, zero)
+    return PolyMatrix._trusted(tuple([row[:lo] + new + row[hi:] for row, new in zip(rows, cols)]))
+
+
 class _SystemPieces:
     """The sigma-independent pieces of the certificates of one system, each
     built on first use by the public function that defines it and kept in
@@ -168,14 +219,16 @@ class _SystemPieces:
         return self.sys.memo(("aux", kind, i), lambda: aux_matrix(self.sys, kind, i))
 
     def step(self, i, consecution):
-        """(left, right) of step i: (Q_i^B, R_i) after a consecution,
-        (R_i^B, Q_i) after an inversion."""
+        """Step i: (left, right) is (Q_i^B, R_i) after a consecution,
+        (R_i^B, Q_i) after an inversion; both equal the identity outside
+        block rows and columns i and i+1."""
 
         def build():
             q, rr = self.aux("Q", i), self.aux("R", i)
+            lines = range((i - 1) * self.sys.n, (i + 1) * self.sys.n)
             if consecution:
-                return aux_block_transpose(q, self.sys), rr
-            return aux_block_transpose(rr, self.sys), q
+                return _Step(aux_block_transpose(q, self.sys), rr, lines)
+            return _Step(aux_block_transpose(rr, self.sys), q, lines)
 
         return self.sys.memo(("step", i, consecution), build)
 
@@ -196,8 +249,7 @@ class _SystemPieces:
         def build():
             x = self.pencil(sigma, 2)
             for i in range(2, self.sys.m):
-                left, right = self.step(i, flags[i - 1])
-                x = left.matrix * x * right.matrix
+                x = _apply_step(self.step(i, flags[i - 1]), x)
                 pos = _deviation(x, self.pencil(sigma, i + 1))
                 if pos is not None:
                     return i, pos
@@ -210,8 +262,8 @@ class _SystemPieces:
 
         def build():
             steps = [self.step(i, c) for i, c in enumerate(flags, start=1)]
-            u = reduce(PolyMatrix.__mul__, [left.matrix for left, _ in reversed(steps)])
-            return u, reduce(PolyMatrix.__mul__, [right.matrix for _, right in steps])
+            u = reduce(PolyMatrix.__mul__, [s.left.matrix for s in reversed(steps)])
+            return u, reduce(PolyMatrix.__mul__, [s.right.matrix for s in steps])
 
         return self.sys.memo(("transforms", flags), build)
 
@@ -354,7 +406,7 @@ def build_certificate(sys, sigma, pencil=None):
     CertificateError with the first differing entry; a forged pencil is
     never silently accepted.  `pencil` defaults to the spliced pencil of
     sigma; a pencil whose (n, r, m) differs from the system's raises
-    ValueError.  Only step 1 multiplies the pencil: once its product equals
+    ValueError.  Only step 1 is applied to the pencil: once its result equals
     the intermediate pencil, the verdict of the later steps and the
     residual come from the per-system memo, which also holds every other
     sigma-independent piece.
@@ -377,8 +429,7 @@ def build_certificate(sys, sigma, pencil=None):
 
     flags = _consecution_flags(sigma)
     steps = [pieces.step(i, c) for i, c in enumerate(flags, start=1)]
-    left, right = steps[0]
-    x = left.matrix * pencil.as_poly_matrix() * right.matrix
+    x = _apply_step(steps[0], pencil.as_poly_matrix())
     pos = _deviation(x, pieces.pencil(sigma, 2))
     failure = (1, pos) if pos is not None else pieces.chain_tail(sigma, flags)
     if failure is not None:
@@ -392,11 +443,9 @@ def build_certificate(sys, sigma, pencil=None):
     residual = pieces.residual(sigma)
     cert = EquivalenceCertificate(
         u_factors=tuple(
-            [(aux.kind, aux.index, aux.block_transposed) for aux, _ in reversed(steps)]
+            [(s.left.kind, s.left.index, s.left.block_transposed) for s in reversed(steps)]
         ),
-        v_factors=tuple(
-            [(aux.kind, aux.index, aux.block_transposed) for _, aux in steps]
-        ),
+        v_factors=tuple([(s.right.kind, s.right.index, s.right.block_transposed) for s in steps]),
         residual=residual,
         target=pieces.target(),
         _pieces=pieces,

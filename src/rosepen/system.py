@@ -295,13 +295,12 @@ def decoupling_zeros(sys):
         return DecouplingReport(inputs, outputs)
 
     import numpy as np
-    import scipy.linalg
 
     a = _linalg.to_float_array(sys.A)
     e = _linalg.to_float_array(sys.E)
     b = _linalg.to_float_array(sys.B)
     c = _linalg.to_float_array(sys.C)
-    eigs = scipy.linalg.eig(a, e, right=False)
+    eigs = _linalg.qz_eig(a, e)
     inputs, outputs = [], []
     for lam in eigs:
         if not np.isfinite(lam):

@@ -14,8 +14,10 @@ numeric on float input) on `rand_system` systems with m = 1..4, most of them
 with irrational zeros, and one with B = 0, on `rand_rep_spec` specs with
 n = 1..3 and on the hand-written specs, `verify --all`, `realize` and
 `smith`.  A float `zeros` run on a spec of degree >= 2 is the CLI path that
-splices a float pencil.  The name does not match pytest's `test_*.py`, so
-the suite does not collect it.
+splices a float pencil.  `verify --sigma ... --pencil` runs on forged
+pencils pin each failure's message and position, and one `verify --all
+--jobs 2` run pins the worker path.  The name does not match pytest's
+`test_*.py`, so the suite does not collect it.
 """
 
 import contextlib
@@ -32,7 +34,9 @@ from _helpers import desk1_spec, eigenpole_index_system, exnoevl_spec, rand_rep_
 from test_golden import DESK1, HAND_SPECS, _rationalise
 
 from rosepen import io as rio
+from rosepen._linalg import freeze
 from rosepen.cli import main
+from rosepen.fiedler import Bijection, SystemPencil, pencil_algorithm1
 
 
 def systems():
@@ -74,53 +78,91 @@ def specs():
     return docs
 
 
+def forged(doc, order, where):
+    """The spliced pencil of `order` for the system `doc`, with 1 added to
+    one constant entry: in block row 1 (rows that step 1 of the certificate
+    changes), in block row 3 (rows it leaves as they are) or in the state
+    corner."""
+    sys_ = rio.decode_system(doc)
+    pencil = pencil_algorithm1(sys_, Bijection(order))
+    n, nm = sys_.n, sys_.n * sys_.m
+    a, b = {"step1": (0, n), "outside": (2 * n, 2 * n), "state": (nm, nm)}[where]
+    const = [list(row) for row in pencil.const_term]
+    const[a][b] += 1
+    return rio.encode_pencil(
+        SystemPencil(
+            pencil.lead,
+            freeze(const),
+            pencil.n,
+            pencil.r,
+            pencil.m,
+            pencil.b_row_block,
+            pencil.c_col_block,
+        )
+    )
+
+
 def commands():
-    """(input name, document, argv after the input) for every run."""
+    """(input name, document, argv after the input, pencil document or
+    None) for every run."""
     out = []
-    for name, doc in systems().items():
+    docs = systems()
+    for name, doc in docs.items():
         m = max(len(entry) for row in doc["P"] for entry in row) - 1
         out += [
-            (name, doc, ["build"]),
-            (name, doc, ["build", "--mode", "float"]),
-            (name, doc, ["zeros"]),
-            (name, doc, ["zeros", "--backend", "numeric"]),
-            (name, doc, ["zeros", "--mode", "float", "--backend", "numeric"]),
-            (name, doc, ["smith"]),
+            (name, doc, ["build"], None),
+            (name, doc, ["build", "--mode", "float"], None),
+            (name, doc, ["zeros"], None),
+            (name, doc, ["zeros", "--backend", "numeric"], None),
+            (name, doc, ["zeros", "--mode", "float", "--backend", "numeric"], None),
+            (name, doc, ["smith"], None),
         ]
         if m >= 2:
             sigma = ",".join(str(i) for i in [1, 0, *range(2, m)])
             out += [
-                (name, doc, ["verify", "--all"]),
-                (name, doc, ["zeros", "--sigma", sigma]),
-                (name, doc, ["build", "--sigma", sigma]),
+                (name, doc, ["verify", "--all"], None),
+                (name, doc, ["zeros", "--sigma", sigma], None),
+                (name, doc, ["build", "--sigma", sigma], None),
             ]
+    for name, order in (("sys-n2r1m3-2310", (1, 0, 2)), ("sys-n2r2m4-2420", (2, 0, 1, 3))):
+        sigma = ",".join(map(str, order))
+        for where in ("step1", "outside", "state"):
+            pencil = forged(docs[name], order, where)
+            out.append((name, docs[name], ["verify", "--sigma", sigma, "--pencil", where], pencil))
+    out.append(("sys-n2r2m4-2420", docs["sys-n2r2m4-2420"], ["verify", "--all", "--jobs", "2"], None))
     for name, doc in specs().items():
         out += [
-            (name, doc, ["realize"]),
-            (name, doc, ["zeros"]),
-            (name, doc, ["zeros", "--backend", "numeric"]),
-            (name, doc, ["zeros", "--mode", "float", "--backend", "numeric"]),
-            (name, doc, ["zeros", "--sigma", "1,0"]),
+            (name, doc, ["realize"], None),
+            (name, doc, ["zeros"], None),
+            (name, doc, ["zeros", "--backend", "numeric"], None),
+            (name, doc, ["zeros", "--mode", "float", "--backend", "numeric"], None),
+            (name, doc, ["zeros", "--sigma", "1,0"], None),
         ]
     return out
 
 
-def run(tmp, name, doc, argv):
+def run(tmp, name, doc, argv, pencil=None):
     """Exit code and the sha256 of stdout of `rosepen <argv[0]> --input
-    <doc> <argv[1:]>`."""
+    <doc> <argv[1:]>`; with a `pencil` document, the argument after
+    `--pencil` names it and is replaced by the path it is written to."""
     path = Path(tmp) / f"{name}.json"
     path.write_text(json.dumps(doc))
+    args = [argv[0], "--input", str(path), *argv[1:]]
+    if pencil is not None:
+        ppath = Path(tmp) / f"{name}-pencil.json"
+        ppath.write_text(json.dumps(pencil))
+        args[args.index("--pencil") + 1] = str(ppath)
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            code = main([argv[0], "--input", str(path), *argv[1:]])
+            code = main(args)
     return code, hashlib.sha256(buf.getvalue().encode()).hexdigest()
 
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        for name, doc, argv in commands():
-            code, digest = run(tmp, name, doc, argv)
+        for name, doc, argv, pencil in commands():
+            code, digest = run(tmp, name, doc, argv, pencil)
             cmd = " ".join([argv[0], "--input", name, *argv[1:]])
             sys.stdout.write(f"{cmd} {code} {digest}\n")

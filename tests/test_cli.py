@@ -14,7 +14,7 @@ from itertools import permutations
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _helpers import det_constant_oracle, exact_systems, rand_system, rep_specs
@@ -680,13 +680,14 @@ def test_zeros_does_not_load_hashlib(tmp_path):
 
 
 def test_verify_does_not_load_openssl(tmp_path):
-    # the pencil hash comes from the interpreter's own SHA-256
+    # the pencil hash comes from the interpreter's own SHA-256, and no
+    # certificate step needs numpy
     path = write(tmp_path, "sys.json", M3_JSON)
     src = str(Path(cli.__file__).resolve().parents[1])
     script = (
         "import sys; from rosepen.cli import main; "
         f"code = main(['verify', '--input', {path!r}, '--all']); "
-        "print(code, '_hashlib' in sys.modules)"
+        "print(code, '_hashlib' in sys.modules, 'numpy' in sys.modules)"
     )
     proc = subprocess.run(
         [_sys.executable, "-c", script],
@@ -696,7 +697,7 @@ def test_verify_does_not_load_openssl(tmp_path):
         check=True,
     )
     *out, status = proc.stdout.splitlines()
-    assert status == "0 False"
+    assert status == "0 False False"
     results = json.loads("\n".join(out))["results"]
     sys = rio.decode_system(M3_JSON, "exact")
     assert len(results) == 6
@@ -839,6 +840,21 @@ def test_numeric_backend_on_exact_numbers_beyond_float_range(tmp_path, capsys):
     assert code == 2 and err.startswith("rosepen:") and "float range" in err
     # the exact pencil itself is fine
     assert run(capsys, "build", "--input", path)[0] == 0
+
+
+def _qz_stall_doc():
+    """A float system on which LAPACK's QZ does not converge (ggev, info=8)."""
+    doc = rio.encode_system(rand_system(random.Random(1), 2, 2, 4))
+    zero = [[0, 0], [0, 0]]
+    return dict(doc, A=[[1e300, 0], [0, 1]], E=[[0, 1], [1, 0]], B=zero, C=zero)
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_qz_that_does_not_converge_is_a_parse_error(tmp_path, capsys, mode):
+    path = write(tmp_path, "stall.json", _qz_stall_doc())
+    code, out, err = run(capsys, "zeros", "--input", path, "--backend", "numeric", "--mode", mode)
+    assert code == 2 and out == ""
+    assert err.startswith("rosepen: QZ eigensolver failed:") and err.count("\n") == 1, err
 
 
 # --- malformed REP specs ---------------------------------------------------------------
@@ -1031,6 +1047,7 @@ def _main_quietly(argv):
 
 @settings(max_examples=30, deadline=None)
 @given(inputs=_fuzz_documents(), pencil=_fuzz_documents(), sigma=_FUZZ_SIGMAS)
+@example(inputs=(_qz_stall_doc(), 4), pencil=(_qz_stall_doc(), 4), sigma="1,0,2,3")
 def test_cli_fuzz_exits_with_a_documented_code(tmp_path_factory, inputs, pencil, sigma):
     # any JSON, as system input or as a --pencil (often of another shape),
     # ends in a documented exit code, and the same input repeats its output;

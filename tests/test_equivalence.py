@@ -163,28 +163,35 @@ def test_intermediate_pencils_are_the_kept_factor_products(sys):
 
 
 def _count_products(monkeypatch):
-    """The list that gains one item per PolyMatrix product from now on."""
-    calls = []
-    mul = PolyMatrix.__mul__
+    """(PolyMatrix products, chain steps applied): two lists that gain one
+    item per call from now on."""
+    products, steps = [], []
+    mul, apply_step = PolyMatrix.__mul__, equivalence._apply_step
 
-    def counting(self, other):
-        calls.append(1)
+    def counting_mul(self, other):
+        products.append(1)
         return mul(self, other)
 
-    monkeypatch.setattr(PolyMatrix, "__mul__", counting)
-    return calls
+    def counting_step(step, x):
+        steps.append(1)
+        return apply_step(step, x)
+
+    monkeypatch.setattr(PolyMatrix, "__mul__", counting_mul)
+    monkeypatch.setattr(equivalence, "_apply_step", counting_step)
+    return products, steps
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_cold_certificate_multiplies_only_the_chain_steps(monkeypatch, m):
-    # two products per step, 2(m-1) in all: the intermediate pencils are
-    # spliced, so no Fiedler factor is multiplied even on a cold memo
+    # each of the m-1 steps is applied once, as row and column updates: the
+    # intermediate pencils are spliced, so no Fiedler factor is multiplied,
+    # and no PolyMatrix product is formed even on a cold memo
     sys = rand_system(random.Random(199 + m), 1, 1, m)
     sigma = Bijection(tuple(range(m)))
     pencil = pencil_algorithm1(sys, sigma)
-    calls = _count_products(monkeypatch)
+    products, steps = _count_products(monkeypatch)
     assert build_certificate(sys, sigma, pencil=pencil).residual_zero
-    assert len(calls) == 2 * (m - 1)
+    assert (len(products), len(steps)) == (0, m - 1)
 
 
 # --- certificates ---------------------------------------------------------------
@@ -330,17 +337,42 @@ def test_chain_product_is_u_pencil_v(sys):
         assert cert.residual == certificate_residual(cert, pencil), perm
 
 
+@settings(max_examples=25, deadline=None)
+@given(exact_systems(), st.data())
+def test_step_updates_equal_the_step_products(sys, data):
+    # _apply_step against L * X * R for every sigma, step and consecution
+    # flag, on the spliced pencil, the step's intermediate pencil and a
+    # pencil forged at one drawn entry
+    pieces = equivalence._SystemPieces(sys)
+    size = sys.n * sys.m + sys.r
+    a, b = data.draw(st.integers(0, size - 1)), data.draw(st.integers(0, size - 1))
+    delta = Poly(data.draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3).filter(any)))
+    for perm in permutations(range(sys.m)):
+        sigma = Bijection(perm)
+        pencil = pencil_algorithm1(sys, sigma).as_poly_matrix()
+        forged = [list(row) for row in pencil.entries]
+        forged[a][b] = forged[a][b] + delta
+        for i in range(1, sys.m):
+            xs = (pencil, intermediate_pencil(sys, sigma, i), PolyMatrix(forged))
+            for consecution in (True, False):
+                step = pieces.step(i, consecution)
+                for x in xs:
+                    want = step.left.matrix * x * step.right.matrix
+                    assert equivalence._apply_step(step, x) == want, (perm, i, consecution)
+
+
 def test_certificate_multiplies_the_pencil_once(monkeypatch):
-    # m = 4, warm: two products for step 1; steps 2..m-1 and the residual
-    # come from the per-system memo, and there is no separate U * pencil * V
+    # m = 4, warm: step 1 is applied to the pencil; steps 2..m-1 and the
+    # residual come from the per-system memo, and there is no PolyMatrix
+    # product, U * pencil * V included
     sys = rand_system(random.Random(191), 1, 1, 4)
     sigma = Bijection((2, 0, 1, 3))
     pencil = pencil_algorithm1(sys, sigma)
     build_certificate(sys, sigma, pencil=pencil)  # warms the per-system memo
-    calls = _count_products(monkeypatch)
+    products, steps = _count_products(monkeypatch)
     cert = build_certificate(sys, sigma, pencil=pencil)
     assert cert.residual_zero
-    assert len(calls) == 2
+    assert (len(products), len(steps)) == (0, 1)
 
 
 def test_wrong_target_still_fails_the_residual(monkeypatch):
