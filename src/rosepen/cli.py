@@ -168,6 +168,8 @@ def _verify_payload(sys, order, pencil):
 
 
 def cmd_verify(args):
+    if args.jobs < 1:
+        return _fail(EXIT_PARSE, f"--jobs must be at least 1, got {args.jobs}")
     try:
         doc = _load_json(args.input)
         sys = rio.decode_system(doc, EXACT)

@@ -27,14 +27,15 @@ when not given, is spliced by Algorithm 1 (`pencil_algorithm1`), and each
 intermediate pencil's factor product by the same splice on fewer factors:
 the chain multiplies no Fiedler factor.
 
-Nor is a step a matrix product.  Its left and right matrices equal the
-identity outside block rows and columns i and i+1 (the I_r state block
+Nor is a step a full matrix product.  Its left and right matrices equal
+the identity outside block rows and columns i and i+1 (the I_r state block
 included), so `_apply_step` recomputes only those at most 2n rows of the
-left product, then those at most 2n columns of the right one, each entry
-from the same terms as in the full product, and keeps every other entry
-as it is.  Each result is still compared whole with its intermediate
-pencil, so a pencil forged at any entry fails at the same step and entry
-as under full products.  A certificate makes no `PolyMatrix` product.
+left product, then those at most 2n columns of the right one, by the
+product kernel of `PolyMatrix` itself (`_product` on a row or column
+range, of which `*` is the full case), and keeps every other entry as it
+is.  Each result is still compared whole with its intermediate pencil, so
+a pencil forged at any entry fails at the same step and entry as under
+full products.  A certificate calls no `PolyMatrix.__mul__`.
 
 Q_i, R_i, T_i, D_i and the target are laid out by `_linalg.embed` from
 their core blocks and block positions, and block transposed by
@@ -176,34 +177,15 @@ class _Step:
     lines: range
 
 
-def _products(rows, other, cols, zero):
-    """The entries in the column range `cols` of rows * other, as one tuple
-    per row, each summed term by term as `PolyMatrix.__mul__` sums it: over
-    the nonzero entries of the row, a constant-one entry contributing the
-    entry of `other` itself."""
-    nonzero = [[(j - cols.start, row[j]) for j in cols if row[j].coeffs] for row in other]
-    out = []
-    for row in rows:
-        acc = [None] * len(cols)
-        for a, terms in zip(row, nonzero):
-            if a.coeffs and terms:
-                one = a.coeffs == (1,)
-                for j, b in terms:
-                    t = b if one else a * b
-                    acc[j] = t if acc[j] is None else acc[j] + t
-        out.append(tuple([zero if e is None else e for e in acc]))
-    return out
-
-
 def _apply_step(step, x):
-    """step.left * x * step.right, with the terms of the two products but
-    only for the rows of x in `step.lines`, then only for those columns of
-    every row; every other entry is kept as it is."""
-    zero = Poly.zero(EXACT)
+    """step.left * x * step.right by the product kernel
+    (`PolyMatrix._product`), but only for the rows of x in `step.lines`,
+    then only for those columns of every row; every other entry is kept as
+    it is."""
     lo, hi = step.lines.start, step.lines.stop
     rows = list(x.entries)
-    rows[lo:hi] = _products(step.left.matrix.entries[lo:hi], rows, range(x.cols), zero)
-    cols = _products(rows, step.right.matrix.entries, step.lines, zero)
+    rows[lo:hi] = step.left.matrix._product(x, step.lines, range(x.cols))
+    cols = PolyMatrix._trusted(tuple(rows))._product(step.right.matrix, range(x.rows), step.lines)
     return PolyMatrix._trusted(tuple([row[:lo] + new + row[hi:] for row, new in zip(rows, cols)]))
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import _linalg
-from .polymat import Poly, PolyMatrix
+from .polymat import PolyMatrix
 
 __all__ = [
     "Bijection",
@@ -245,16 +245,7 @@ class SystemPencil:
         return _linalg.grid_mode(self.lead)
 
     def as_poly_matrix(self):
-        mode = self.mode
-        return PolyMatrix(
-            [
-                [
-                    Poly((self.const_term[i][j], self.lead[i][j]), mode)
-                    for j in range(self.size)
-                ]
-                for i in range(self.size)
-            ]
-        )
+        return PolyMatrix.from_coefficient_grids((self.const_term, self.lead), self.mode)
 
     def __eq__(self, other):
         return (

@@ -581,13 +581,12 @@ class PolyMatrix:
 
     @classmethod
     def from_coefficient_grids(cls, grids, mode=EXACT):
-        """Assemble sum_j lam^j A_j from constant coefficient grids."""
-        rows, cols = _linalg.shape(grids[0])
-        entries = [
-            [Poly([g[i][j] for g in grids], mode) for j in range(cols)]
-            for i in range(rows)
-        ]
-        return cls(entries)
+        """Assemble sum_j lam^j A_j from constant coefficient grids of one
+        shape."""
+        shape = _linalg.shape(grids[0])
+        if any(_linalg.shape(g) != shape for g in grids[1:]):
+            raise ValueError("coefficient grids of different shapes")
+        return cls([[Poly(c, mode) for c in zip(*rows)] for rows in zip(*grids)])
 
     @classmethod
     def identity(cls, k, mode=EXACT):
@@ -639,7 +638,19 @@ class PolyMatrix:
         return m
 
     def __mul__(self, other):
-        """Matrix product, or `scale` for a scalar or scalar polynomial.
+        """Matrix product (`_product` over every row and column), or `scale`
+        for a scalar or scalar polynomial."""
+        if not isinstance(other, PolyMatrix):
+            return self.scale(other)
+        if self.cols != other.rows:
+            raise ValueError("inner dimensions do not match")
+        if other.mode != self.mode:
+            raise ValueError("field mode mismatch")
+        return PolyMatrix._trusted(tuple(self._product(other, range(self.rows), range(other.cols))))
+
+    def _product(self, other, rows, cols):
+        """The rows `rows` and columns `cols` (ranges) of self * other, one
+        tuple per row; the operands are valid for the product.
 
         The cost is proportional to the nonzero products: each nonzero
         a = self[i, k] adds a * b into out[i, j] for the nonzero b in row k
@@ -647,21 +658,15 @@ class PolyMatrix:
         terms by increasing k; in float mode the sum starts from the zero
         polynomial, as `sum` does, so a -0.0 coefficient comes out as +0.0.
         """
-        if not isinstance(other, PolyMatrix):
-            return self.scale(other)
-        if self.cols != other.rows:
-            raise ValueError("inner dimensions do not match")
-        mode = self.mode
-        if other.mode != mode:
-            raise ValueError("field mode mismatch")
-        zero = Poly.zero(mode)
-        start = zero if mode == FLOAT else None
+        zero = Poly.zero(self.mode)
+        start = zero if self.mode == FLOAT else None
+        lo, hi = cols.start, cols.stop
         nonzero_rows = [
-            [(j, b) for j, b in enumerate(row) if b.coeffs] for row in other.entries
+            [(j, b) for j, b in enumerate(row[lo:hi]) if b.coeffs] for row in other.entries
         ]
         out = []
-        for row in self.entries:
-            acc = [start] * other.cols
+        for row in self.entries[rows.start : rows.stop]:
+            acc = [start] * (hi - lo)
             for a, terms in zip(row, nonzero_rows):
                 if not a.coeffs or not terms:
                     continue
@@ -670,7 +675,7 @@ class PolyMatrix:
                     term = b if one else a * b
                     acc[j] = term if acc[j] is None else acc[j] + term
             out.append(tuple([zero if e is None else e for e in acc]))
-        return PolyMatrix._trusted(tuple(out))
+        return out
 
     def scale(self, c):
         """Entrywise multiplication by a scalar or a scalar polynomial."""
@@ -868,46 +873,31 @@ class SmithMcMillanForm:
         return len(self.numerators)
 
 
-def _smith_reduce(matrix, track=False):
-    rows, cols = matrix.rows, matrix.cols
-    w = [list(row) for row in matrix.entries]
-    u = [list(row) for row in PolyMatrix.identity(rows).entries] if track else None
-    v = [list(row) for row in PolyMatrix.identity(cols).entries] if track else None
+def _smith_reduce(w, rows, cols):
+    """Reduce the list grid w, whose top-left rows x cols block is an
+    exact M, in place to its Smith form, and return that form.
 
-    def swap_rows(a, b):
-        w[a], w[b] = w[b], w[a]
-        if track:
-            u[a], u[b] = u[b], u[a]
+    Elementary row/column reduction over Q[lam] with the minimal-degree
+    pivot rule.  The pivot search and the clearing loops look at M's block
+    only, but a row operation spans the whole row of w and a column
+    operation every row of w, so a border beside or below M records them:
+    `smith_form_with_transforms` borders M with identities and reads U and
+    V off them, `smith_form` passes M alone.
+    """
+    if w[0][0].mode != EXACT:
+        raise ValueError("Smith form requires exact mode")
 
     def swap_cols(a, b):
         for row in w:
             row[a], row[b] = row[b], row[a]
-        if track:
-            for row in v:
-                row[a], row[b] = row[b], row[a]
 
     def row_op(dst, src, q):
         # row dst -= q * row src
         w[dst] = [x - q * y for x, y in zip(w[dst], w[src])]
-        if track:
-            u[dst] = [x - q * y for x, y in zip(u[dst], u[src])]
-
-    def row_add(dst, src):
-        w[dst] = [x + y for x, y in zip(w[dst], w[src])]
-        if track:
-            u[dst] = [x + y for x, y in zip(u[dst], u[src])]
 
     def col_op(dst, src, q):
         for row in w:
             row[dst] = row[dst] - q * row[src]
-        if track:
-            for row in v:
-                row[dst] = row[dst] - q * row[src]
-
-    def scale_row(i, c):
-        w[i] = [c * x for x in w[i]]
-        if track:
-            u[i] = [c * x for x in u[i]]
 
     t = 0
     limit = min(rows, cols)
@@ -923,8 +913,7 @@ def _smith_reduce(matrix, track=False):
                     pivot = (i, j)
         if pivot is None:
             break
-        if pivot[0] != t:
-            swap_rows(t, pivot[0])
+        w[t], w[pivot[0]] = w[pivot[0]], w[t]
         if pivot[1] != t:
             swap_cols(t, pivot[1])
 
@@ -937,7 +926,7 @@ def _smith_reduce(matrix, track=False):
                 q, r = divmod(w[i][t], w[t][t])
                 row_op(i, t, q)
                 if not r.is_zero:
-                    swap_rows(t, i)
+                    w[t], w[i] = w[i], w[t]
                     restart = True
                     break
             if restart:
@@ -965,51 +954,44 @@ def _smith_reduce(matrix, track=False):
                     break
             if offender is None:
                 break
-            row_add(t, offender)
+            w[t] = [x + y for x, y in zip(w[t], w[offender])]
 
         lead = w[t][t].leading
         if lead != 1:
-            scale_row(t, Fraction(1, 1) / lead)
+            c = 1 / lead
+            w[t] = [x * c for x in w[t]]
         t += 1
 
     pivots = [w[i][i] for i in range(t)]
-    return pivots, t, u, v
+    return SmithForm(
+        identity_count=sum(1 for p in pivots if p.degree == 0),
+        invariant_polys=tuple([p for p in pivots if p.degree > 0]),
+        zero_rows=rows - t,
+        zero_cols=cols - t,
+    )
 
 
 def smith_form(matrix):
-    """Smith form of an exact polynomial matrix.
-
-    Elementary row/column reduction over Q[lam] with the minimal-degree
-    pivot rule; guaranteed for sizes up to 12x12 with entry degrees up to
-    16, merely slow beyond that.
-    """
-    if matrix.mode != EXACT:
-        raise ValueError("Smith form requires exact mode")
-    pivots, t, _, _ = _smith_reduce(matrix, track=False)
-    identity = sum(1 for p in pivots if p.degree == 0)
-    invariant = tuple([p for p in pivots if p.degree > 0])
-    return SmithForm(
-        identity_count=identity,
-        invariant_polys=invariant,
-        zero_rows=matrix.rows - t,
-        zero_cols=matrix.cols - t,
-    )
+    """Smith form of an exact polynomial matrix (`_smith_reduce`);
+    guaranteed for sizes up to 12x12 with entry degrees up to 16, merely
+    slow beyond that."""
+    return _smith_reduce([list(row) for row in matrix.entries], matrix.rows, matrix.cols)
 
 
 def smith_form_with_transforms(matrix):
-    """Smith form together with unimodular U, V with U * M * V = SF(M)."""
-    if matrix.mode != EXACT:
-        raise ValueError("Smith form requires exact mode")
-    pivots, t, u, v = _smith_reduce(matrix, track=True)
-    identity = sum(1 for p in pivots if p.degree == 0)
-    invariant = tuple([p for p in pivots if p.degree > 0])
-    form = SmithForm(
-        identity_count=identity,
-        invariant_polys=invariant,
-        zero_rows=matrix.rows - t,
-        zero_cols=matrix.cols - t,
-    )
-    return form, PolyMatrix(u), PolyMatrix(v)
+    """Smith form together with unimodular U, V with U * M * V = SF(M).
+
+    The one reduction runs on M bordered by I_rows on its right and I_cols
+    below it (the bottom rows stop at M's last column); U is read off the
+    right border and V off the bottom one.
+    """
+    rows, cols = matrix.rows, matrix.cols
+    eye = PolyMatrix.identity(rows).entries
+    w = [list(row + e) for row, e in zip(matrix.entries, eye)]
+    w += [list(row) for row in PolyMatrix.identity(cols).entries]
+    form = _smith_reduce(w, rows, cols)
+    u = PolyMatrix._trusted(tuple([tuple(row[cols:]) for row in w[:rows]]))
+    return form, u, PolyMatrix._trusted(tuple([tuple(row) for row in w[rows:]]))
 
 
 def smith_form_matrix(form, rows, cols, mode=EXACT):

@@ -183,15 +183,14 @@ def _system_layout(sys, m, blocks):
 
 def _constant(grid, mode):
     """`grid` as a grid of constant `Poly`s."""
-    return [[Poly((x,), mode) for x in row] for row in grid]
+    return tuple([tuple([Poly((x,), mode) for x in row]) for row in grid])
 
 
 def _state_corner(sys):
-    """A - lam*E as a grid of `Poly`s."""
-    return [
-        [Poly((a, -e), sys.mode) for a, e in zip(row_a, row_e)]
-        for row_a, row_e in zip(sys.A, sys.E)
-    ]
+    """A - lam*E as a grid of `Poly`s, empty when r = 0."""
+    if sys.r == 0:
+        return ()
+    return PolyMatrix.from_coefficient_grids((sys.A, _linalg.neg(sys.E)), sys.mode).entries
 
 
 def assemble_system_matrix(sys):
@@ -216,13 +215,7 @@ def state_pencil(sys):
     """lam*E - A as an r-by-r PolyMatrix (requires r >= 1)."""
     if sys.r == 0:
         raise ValueError("system has no state part")
-    mode = sys.mode
-    return PolyMatrix(
-        [
-            [Poly((-sys.A[i][j], sys.E[i][j]), mode) for j in range(sys.r)]
-            for i in range(sys.r)
-        ]
-    )
+    return PolyMatrix.from_coefficient_grids((_linalg.neg(sys.A), sys.E), sys.mode)
 
 
 def transfer_function(sys):

@@ -11,9 +11,10 @@ is a diff of two runs of this script:
 
 The corpus covers `build` (exact and float), `zeros` (exact, numeric, and
 numeric on float input) on `rand_system` systems with m = 1..4, most of them
-with irrational zeros, and one with B = 0, on `rand_rep_spec` specs with
-n = 1..3 and on the hand-written specs, `verify --all`, `realize` and
-`smith`.  A float `zeros` run on a spec of degree >= 2 is the CLI path that
+with irrational zeros, one with B = 0 and one with C = 0, on `rand_rep_spec`
+specs with n = 1..3 and on the hand-written specs, `verify --all`, `realize`
+and `smith`, also on non-square, rank-deficient and zero-row polynomial
+matrices.  A float `zeros` run on a spec of degree >= 2 is the CLI path that
 splices a float pencil.  `verify --sigma ... --pencil` runs on forged
 pencils pin each failure's message and position, and one `verify --all
 --jobs 2` run pins the worker path.  The name does not match pytest's
@@ -28,6 +29,7 @@ import random
 import sys
 import tempfile
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 from _helpers import desk1_spec, eigenpole_index_system, exnoevl_spec, rand_rep_spec, rand_system
@@ -37,12 +39,13 @@ from rosepen import io as rio
 from rosepen._linalg import freeze
 from rosepen.cli import main
 from rosepen.fiedler import Bijection, SystemPencil, pencil_algorithm1
+from rosepen.polymat import Poly, PolyMatrix
 
 
 def systems():
     """name -> system document: two seeds of every (1, r, m) and one of
     every (2, r, m), r = 0..3, m = 1..4, plus p/q variants of every third,
-    and one (2, 2, 2) system with B = 0."""
+    and one (2, 2, 2) system each with B = 0 and with C = 0."""
     docs = {"desk1": DESK1, "eigenpole": rio.encode_system(eigenpole_index_system())}
     for n, seeds in ((1, 2), (2, 1)):
         for m in range(1, 5):
@@ -56,6 +59,9 @@ def systems():
     # B = 0: every state is an input-decoupling zero and G = P
     b0 = rio.encode_system(rand_system(random.Random(2230), 2, 2, 2))
     docs["sys-n2r2m2-b0"] = {**b0, "B": [[0, 0], [0, 0]]}
+    # C = 0: every state is an output-decoupling zero and G = P
+    c0 = rio.encode_system(rand_system(random.Random(2240), 2, 2, 2))
+    docs["sys-n2r2m2-c0"] = {**c0, "C": [[0, 0], [0, 0]]}
     return docs
 
 
@@ -76,6 +82,32 @@ def specs():
                     spec = rand_rep_spec(random.Random(seed), n, terms, deg)
                     docs[f"spec-n{n}t{terms}d{deg}-{seed}"] = rio.encode_rep_spec(spec)
     return docs
+
+
+def poly_matrices():
+    """name -> polynomial-matrix document for `smith`: 2 x 3, 3 x 2, a
+    3 x 3 of rank 2 (its last row is a polynomial combination of the
+    others) and a 3 x 3 with a zero row.  One row or column of each is
+    scaled by a fixed polynomial, so each form has an invariant factor."""
+    rng = random.Random(2500)
+
+    def poly():
+        return Poly([Fraction(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(rng.randint(0, 3))])
+
+    def rows(h, w, scaled, f):
+        g = [[poly() for _ in range(w)] for _ in range(h)]
+        g[scaled] = [f * x for x in g[scaled]]
+        return g
+
+    wide = rows(2, 3, 1, Poly([-2, 0, 1]))
+    tall = [list(col) for col in zip(*rows(2, 3, 1, Poly([1, 2, 1])))]
+    top = rows(2, 3, 0, Poly([-3, 1]))
+    p, q = poly(), poly()
+    rank2 = top + [[p * a + q * b for a, b in zip(*top)]]
+    zero_row = rows(3, 3, 2, Poly([1, 0, 1]))
+    zero_row[1] = [Poly.zero()] * 3
+    grids = {"2x3": wide, "3x2": tall, "rank2": rank2, "zero-row": zero_row}
+    return {f"pm-{k}": rio.encode_poly_matrix(PolyMatrix(g)) for k, g in grids.items()}
 
 
 def forged(doc, order, where):
@@ -130,6 +162,8 @@ def commands():
             pencil = forged(docs[name], order, where)
             out.append((name, docs[name], ["verify", "--sigma", sigma, "--pencil", where], pencil))
     out.append(("sys-n2r2m4-2420", docs["sys-n2r2m4-2420"], ["verify", "--all", "--jobs", "2"], None))
+    for name, doc in poly_matrices().items():
+        out.append((name, doc, ["smith"], None))
     for name, doc in specs().items():
         out += [
             (name, doc, ["realize"], None),

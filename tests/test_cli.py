@@ -518,6 +518,16 @@ def test_verify_jobs_pool_is_capped(tmp_path, capsys, monkeypatch):
         assert asked == want
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_verify_rejects_fewer_than_one_job(tmp_path, capsys, jobs):
+    # --jobs k runs at most min(k, m!, CPU count) workers, so k < 1 is no
+    # worker count: an error, not a silent serial run
+    path = write(tmp_path, "sys.json", M3_JSON)
+    code, out, err = run(capsys, "verify", "--input", path, "--all", "--jobs", jobs)
+    assert (code, out) == (2, "")
+    assert err == f"rosepen: --jobs must be at least 1, got {jobs}\n"
+
+
 def test_verify_all_builds_each_piece_once(tmp_path, capsys, monkeypatch):
     aux_calls, factor_calls = [], []
     aux_matrix, make_factor = equivalence.aux_matrix, fiedler.make_factor

@@ -16,6 +16,7 @@ from _helpers import (
     desk1_system,
     exact_systems,
     kept_factor_pencil,
+    naive_poly_matmul,
     rand_system,
 )
 from rosepen import _linalg as L
@@ -163,22 +164,29 @@ def test_intermediate_pencils_are_the_kept_factor_products(sys):
 
 
 def _count_products(monkeypatch):
-    """(PolyMatrix products, chain steps applied): two lists that gain one
-    item per call from now on."""
-    products, steps = [], []
-    mul, apply_step = PolyMatrix.__mul__, equivalence._apply_step
+    """(PolyMatrix products, product-kernel calls over every row and
+    column, chain steps applied): three lists that gain one item per call
+    from now on."""
+    products, full, steps = [], [], []
+    mul, kernel, apply_step = PolyMatrix.__mul__, PolyMatrix._product, equivalence._apply_step
 
     def counting_mul(self, other):
         products.append(1)
         return mul(self, other)
+
+    def counting_kernel(self, other, rows, cols):
+        if (rows, cols) == (range(self.rows), range(other.cols)):
+            full.append(1)
+        return kernel(self, other, rows, cols)
 
     def counting_step(step, x):
         steps.append(1)
         return apply_step(step, x)
 
     monkeypatch.setattr(PolyMatrix, "__mul__", counting_mul)
+    monkeypatch.setattr(PolyMatrix, "_product", counting_kernel)
     monkeypatch.setattr(equivalence, "_apply_step", counting_step)
-    return products, steps
+    return products, full, steps
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
@@ -189,9 +197,9 @@ def test_cold_certificate_multiplies_only_the_chain_steps(monkeypatch, m):
     sys = rand_system(random.Random(199 + m), 1, 1, m)
     sigma = Bijection(tuple(range(m)))
     pencil = pencil_algorithm1(sys, sigma)
-    products, steps = _count_products(monkeypatch)
+    products, full, steps = _count_products(monkeypatch)
     assert build_certificate(sys, sigma, pencil=pencil).residual_zero
-    assert (len(products), len(steps)) == (0, m - 1)
+    assert (len(products), len(full), len(steps)) == (0, 0, m - 1)
 
 
 # --- certificates ---------------------------------------------------------------
@@ -340,9 +348,10 @@ def test_chain_product_is_u_pencil_v(sys):
 @settings(max_examples=25, deadline=None)
 @given(exact_systems(), st.data())
 def test_step_updates_equal_the_step_products(sys, data):
-    # _apply_step against L * X * R for every sigma, step and consecution
-    # flag, on the spliced pencil, the step's intermediate pencil and a
-    # pencil forged at one drawn entry
+    # _apply_step against the dense product L * X * R for every sigma, step
+    # and consecution flag, on the spliced pencil, the step's intermediate
+    # pencil and a pencil forged at one drawn entry; `*` shares the step's
+    # product kernel, so the oracle is the dense reference
     pieces = equivalence._SystemPieces(sys)
     size = sys.n * sys.m + sys.r
     a, b = data.draw(st.integers(0, size - 1)), data.draw(st.integers(0, size - 1))
@@ -357,7 +366,8 @@ def test_step_updates_equal_the_step_products(sys, data):
             for consecution in (True, False):
                 step = pieces.step(i, consecution)
                 for x in xs:
-                    want = step.left.matrix * x * step.right.matrix
+                    left = naive_poly_matmul(step.left.matrix, x)
+                    want = naive_poly_matmul(left, step.right.matrix)
                     assert equivalence._apply_step(step, x) == want, (perm, i, consecution)
 
 
@@ -369,10 +379,10 @@ def test_certificate_multiplies_the_pencil_once(monkeypatch):
     sigma = Bijection((2, 0, 1, 3))
     pencil = pencil_algorithm1(sys, sigma)
     build_certificate(sys, sigma, pencil=pencil)  # warms the per-system memo
-    products, steps = _count_products(monkeypatch)
+    products, full, steps = _count_products(monkeypatch)
     cert = build_certificate(sys, sigma, pencil=pencil)
     assert cert.residual_zero
-    assert (len(products), len(steps)) == (0, 1)
+    assert (len(products), len(full), len(steps)) == (0, 0, 1)
 
 
 def test_wrong_target_still_fails_the_residual(monkeypatch):

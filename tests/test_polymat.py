@@ -413,7 +413,8 @@ _FLOAT = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.25, 3.0])
 @st.composite
 def _product_operands(draw):
     """A (rows x inner) and B (inner x cols), sizes 1..5, of one mode, with
-    whole zero rows and columns and zero, one, lam and general entries."""
+    whole zero rows and columns and zero, one, lam and general entries, and
+    a nonempty row range of A and column range of B."""
     mode = draw(st.sampled_from(["exact", "float"]))
     scalars = _INT | _RATIONAL if mode == "exact" else _FLOAT
 
@@ -436,8 +437,12 @@ def _product_operands(draw):
             ]
         )
 
+    def span(k):
+        lo = draw(st.integers(0, k - 1))
+        return range(lo, draw(st.integers(lo + 1, k)))
+
     rows, inner, cols = (draw(st.integers(1, 5)) for _ in range(3))
-    return matrix(rows, inner), matrix(inner, cols)
+    return matrix(rows, inner), matrix(inner, cols), span(rows), span(cols)
 
 
 @settings(max_examples=60, deadline=None)
@@ -447,15 +452,41 @@ def _product_operands(draw):
     (
         PolyMatrix([[Poly.one("float"), Poly([-1.0], "float")]]),
         PolyMatrix([[Poly([1.0, -0.0, 2.0], "float")], [Poly.zero("float")]]),
+        range(1),
+        range(1),
     )
 )
-@example((PolyMatrix([[ONE, LAM], [Poly.zero(), Poly.zero()]]), PolyMatrix([[LAM], [Poly([F(1, 2), -1])]])))
+@example(
+    (
+        PolyMatrix([[ONE, LAM], [Poly.zero(), Poly.zero()]]),
+        PolyMatrix([[LAM], [Poly([F(1, 2), -1])]]),
+        range(2),
+        range(1),
+    )
+)
+# ranges that start past the first row and column
+@example(
+    (
+        PolyMatrix([[ONE, LAM], [LAM, Poly([2])], [ONE, ONE]]),
+        PolyMatrix([[ONE, LAM, Poly([3])], [LAM, ONE, Poly([F(1, 2), -1])]]),
+        range(1, 3),
+        range(1, 3),
+    )
+)
 def test_product_matches_dense_reference(operands):
-    a, b = operands
-    got, want = a * b, naive_poly_matmul(a, b)
+    # the product kernel on a row range x column range against that slice
+    # of the dense product, and `*`, the kernel's full case, against all of it
+    a, b, rows, cols = operands
+    want = naive_poly_matmul(a, b)
+    got = a * b
     assert (got.rows, got.cols) == (want.rows, want.cols)
     assert [[_exact_coeffs(e) for e in row] for row in got.entries] == [
         [_exact_coeffs(e) for e in row] for row in want.entries
+    ]
+    part = a._product(b, rows, cols)
+    assert [[_exact_coeffs(e) for e in row] for row in part] == [
+        [_exact_coeffs(e) for e in row[cols.start : cols.stop]]
+        for row in want.entries[rows.start : rows.stop]
     ]
 
 
@@ -544,11 +575,27 @@ def test_smith_random_properties():
 
 
 def test_smith_transforms_are_unimodular_certificates():
+    # U and V are read off the identity borders of the reduction: matrices
+    # with a zero row or column, or of lower rank, leave pivot-free rows and
+    # columns of M beside border entries, which the pivot search must not see
     rng = random.Random(13)
-    for _ in range(10):
+    for k in range(40):
         rows, cols = rng.randint(1, 4), rng.randint(1, 4)
-        m = rand_pm(rng, rows, cols)
+        kind = ("full", "rank-deficient", "zero row", "zero column")[k % 4]
+        if kind == "rank-deficient" and min(rows, cols) > 1:
+            inner = rng.randint(1, min(rows, cols) - 1)
+            m = rand_pm(rng, rows, inner, 1) * rand_pm(rng, inner, cols, 1)
+        else:
+            grid = [list(row) for row in rand_pm(rng, rows, cols).entries]
+            if kind == "zero row":
+                grid[rng.randrange(rows)] = [Poly.zero()] * cols
+            elif kind == "zero column":
+                j = rng.randrange(cols)
+                for row in grid:
+                    row[j] = Poly.zero()
+            m = PolyMatrix(grid)
         sf, u, v = smith_form_with_transforms(m)
+        assert smith_form(m) == sf
         assert u * m * v == smith_form_matrix(sf, rows, cols)
         du, dv = poly_matrix_det(u), poly_matrix_det(v)
         assert du.degree == 0 and not du.is_zero
