@@ -24,8 +24,8 @@ memoised intermediate pencil, so the verdict of steps 2..m-1 is memoised per
 factor order kept at step 2, and the residual, the last product minus the
 target, is the same for every sigma and formed once per system.  The pencil,
 when not given, is spliced by Algorithm 1 (`pencil_algorithm1`), and each
-intermediate pencil's factor product by the same splice on fewer factors:
-the chain multiplies no Fiedler factor.
+intermediate pencil lam*D_j - M_sigma^(j) is laid out entry by entry from
+the same splice on fewer factors and D_j, with no PolyMatrix arithmetic.
 
 Nor is a step a full matrix product.  Its left and right matrices equal
 the identity outside block rows and columns i and i+1 (the I_r state block
@@ -215,8 +215,8 @@ class _SystemPieces:
         return self.sys.memo(("step", i, consecution), build)
 
     def pencil(self, sigma, j):
-        """intermediate_pencil(sys, sigma, j), which depends on sigma only
-        through the order of the factors it keeps."""
+        """intermediate_pencil(sys, sigma, j), laid out in one pass; it
+        depends on sigma only through the order of the factors it keeps."""
         kept = tuple([i for i in sigma.inverse_order if i <= self.sys.m - j])
         return self.sys.memo(("pencil", kept), lambda: intermediate_pencil(self.sys, sigma, j))
 
@@ -308,16 +308,20 @@ def aux_relations_check(sys, i):
 
 
 def intermediate_pencil(sys, sigma, j):
-    """lam * D_j - M_sigma^(j), where M_sigma^(j) is the product of the
-    factors with index <= m - j in their order in sigma, spliced by
-    `fiedler._spliced_product` like Algorithm 1 and not multiplied.  j=1
-    gives the Fiedler pencil itself and j=m gives diag(-I_{(m-1)n}, S(lam))."""
+    """lam * D_j - M_sigma^(j), M_sigma^(j) the product of the factors with
+    index <= m - j in their order in sigma, spliced like Algorithm 1
+    (`fiedler._spliced_product`).  Each entry is built once, as the Poly
+    (-p, d_0, d_1, ...) of the product's entry p and D_j's coefficients d_k.
+    j=1 gives the Fiedler pencil itself, j=m diag(-I_{(m-1)n}, S(lam))."""
     _require_exact(sys)
     m = sys.m
     if not 1 <= j <= m:
         raise ValueError(f"intermediate index {j} out of range 1..{m}")
-    prod = PolyMatrix.from_scalar_grid(_spliced_product(sys, sigma, m - j)[0], sys.mode)
-    return _SystemPieces(sys).aux("D", j).matrix.scale(Poly.lam()) - prod
+    d = _SystemPieces(sys).aux("D", j).matrix.entries
+    return PolyMatrix._trusted(tuple([
+        tuple([Poly._trusted((-p, *e.coeffs), EXACT) for p, e in zip(prow, drow)])
+        for prow, drow in zip(_spliced_product(sys, sigma, m - j)[0], d)
+    ]))
 
 
 def _target(sys):

@@ -16,9 +16,10 @@ specs with n = 1..3 and on the hand-written specs, `verify --all`, `realize`
 and `smith`, also on non-square, rank-deficient and zero-row polynomial
 matrices.  A float `zeros` run on a spec of degree >= 2 is the CLI path that
 splices a float pencil.  `verify --sigma ... --pencil` runs on forged
-pencils pin each failure's message and position, and one `verify --all
---jobs 2` run pins the worker path.  The name does not match pytest's
-`test_*.py`, so the suite does not collect it.
+pencils pin each failure's message and position, one `verify --all
+--jobs 2` run pins the worker path, and one `verify --all` run on an m = 5
+system (120 sigma) pins degree-5 intermediate pencils.  The name does not
+match pytest's `test_*.py`, so the suite does not collect it.
 """
 
 import contextlib
@@ -162,6 +163,9 @@ def commands():
             pencil = forged(docs[name], order, where)
             out.append((name, docs[name], ["verify", "--sigma", sigma, "--pencil", where], pencil))
     out.append(("sys-n2r2m4-2420", docs["sys-n2r2m4-2420"], ["verify", "--all", "--jobs", "2"], None))
+    # m = 5, past the systems above: degree-5 entries of lam*D_j
+    m5 = rio.encode_system(rand_system(random.Random(1152), 2, 1, 5))
+    out.append(("sys-n2r1m5-1152", m5, ["verify", "--all"], None))
     for name, doc in poly_matrices().items():
         out.append((name, doc, ["smith"], None))
     for name, doc in specs().items():

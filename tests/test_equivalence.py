@@ -163,6 +163,29 @@ def test_intermediate_pencils_are_the_kept_factor_products(sys):
             assert intermediate_pencil(sys, sigma, j) == kept_factor_pencil(sys, sigma, j), (perm, j)
 
 
+def test_intermediate_pencils_do_no_poly_matrix_arithmetic(monkeypatch):
+    # every entry is laid out once from the splice and D_j's coefficients,
+    # on a cold memo too: no difference, scaling or lift of a scalar grid
+    sys = rand_system(random.Random(211), 1, 1, 4)
+    calls = []
+
+    def counting(name, f):
+        def wrapper(*args):
+            calls.append(name)
+            return f(*args)
+
+        return wrapper
+
+    for name in ("__sub__", "scale"):
+        monkeypatch.setattr(PolyMatrix, name, counting(name, getattr(PolyMatrix, name)))
+    lift = counting("from_scalar_grid", PolyMatrix.from_scalar_grid)
+    monkeypatch.setattr(PolyMatrix, "from_scalar_grid", staticmethod(lift))
+    for perm in permutations(range(4)):
+        for j in range(1, 5):
+            intermediate_pencil(sys, Bijection(perm), j)
+    assert calls == []
+
+
 def _count_products(monkeypatch):
     """(PolyMatrix products, product-kernel calls over every row and
     column, chain steps applied): three lists that gain one item per call
