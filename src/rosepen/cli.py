@@ -26,17 +26,6 @@ from .fiedler import Bijection, ciss, pencil_algorithm1, pencil_direct
 from .polymat import smith_form
 from .system import SingularStateError, assemble_system_matrix, is_minimal, realize, system_det
 
-# The pencil hash is a content fingerprint, not a security boundary: the
-# interpreter's own SHA-256 gives the same digest as hashlib's without
-# loading OpenSSL (about 3.5 MB of resident memory) into the process.
-try:
-    from _sha256 import sha256  # CPython through 3.11
-except ImportError:
-    try:
-        from _sha2 import sha256  # CPython 3.12+
-    except ImportError:
-        from hashlib import sha256
-
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_SIGMA = 3
@@ -137,21 +126,20 @@ def cmd_zeros(args):
 
 
 def _verify_payload(sys, order, pencil):
-    """One certificate check of the decoded system `sys` on `pencil`, or
-    on the Fiedler pencil of `order`, spliced by Algorithm 1 (m >= 2 here),
-    when `pencil` is None.  Only the pencil's splice, its hash and the
-    certificate's first chain step are per sigma; the later steps, the
-    residual and det S come from the system's memo.  A passing certificate
-    gives det(pencil) = c * det S with c = 1 for every system, so c needs
-    no determinant; it is null when the certificate fails or det S = 0.
-    Raises ValueError for a pencil of another (n, r, m) than `sys`."""
+    """One certificate check of the decoded system `sys` on `pencil`, or on
+    the Fiedler pencil of `order`, spliced by Algorithm 1 (m >= 2 here), when
+    `pencil` is None.  Per sigma are only the splice, the first chain step and
+    the hash, `io.pencil_sha256` of the pencil's `io.dumps` text written from
+    its grids; the later steps, the residual and det S come from the system's
+    memo.  A passing certificate gives det(pencil) = c * det S with c = 1 for
+    every system, so c needs no determinant; it is null when the certificate
+    fails or det S = 0.  Raises ValueError for a pencil of another (n, r, m)."""
     sigma = Bijection(tuple(order))
     if pencil is None:
         pencil = pencil_algorithm1(sys, sigma)
-    digest = sha256(rio.dumps(rio.encode_pencil(pencil)).encode()).hexdigest()
     entry = {
         "sigma": list(order),
-        "pencil_sha256": digest,
+        "pencil_sha256": rio.pencil_sha256(pencil),
         "residual_zero": False,
         "det_constant": None,
     }

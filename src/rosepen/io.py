@@ -4,7 +4,8 @@ Conventions: polynomials are ascending coefficient arrays; exact rationals
 travel as integers or "p/q" strings; complex values as {"re", "im"} pairs;
 matrices are row-major nested arrays.  Decoding validates shapes and raises
 ValueError on anything malformed, which the CLI maps to its parse-error
-exit code.
+exit code.  `dumps` writes the canonical text of every document, and
+`pencil_sha256` writes an exact pencil's text straight from its grids.
 """
 
 from __future__ import annotations
@@ -18,6 +19,17 @@ from .eigen import ZeroReport
 from .fiedler import SystemPencil
 from .polymat import Poly, PolyMatrix, RationalFn
 from .system import RepSpec, RepTerm, RosenbrockSystem
+
+# The pencil hash is a content fingerprint, not a security boundary: the
+# interpreter's own SHA-256 gives hashlib's digest without loading OpenSSL
+# (about 3.5 MB of resident memory) into the process.
+try:
+    from _sha256 import sha256  # CPython through 3.11
+except ImportError:
+    try:
+        from _sha2 import sha256  # CPython 3.12+
+    except ImportError:
+        from hashlib import sha256
 
 __all__ = [
     "encode_scalar",
@@ -35,6 +47,7 @@ __all__ = [
     "decode_rep_spec",
     "encode_pencil",
     "decode_pencil",
+    "pencil_sha256",
     "encode_smith_form",
     "encode_zero_report",
     "detect_kind",
@@ -194,6 +207,30 @@ def encode_pencil(pencil):
         "b_row_block": pencil.b_row_block,
         "c_col_block": pencil.c_col_block,
     }
+
+
+def pencil_sha256(pencil):
+    """Hex SHA-256 of `dumps(encode_pencil(pencil))`, written from the grids, not
+    by json's indent encoder.  Exact pencils only (`verify` decodes exactly)."""
+    try:
+        const, lead = _grid_text(pencil.const_term), _grid_text(pencil.lead)
+    except AttributeError:  # a float has no denominator
+        raise TypeError("pencil_sha256 takes an exact pencil, not a float one") from None
+    text = (
+        f'{{\n  "b_row_block": {pencil.b_row_block},\n  "c_col_block": {pencil.c_col_block},'
+        f'\n  "const_term": {const},\n  "lead": {lead},\n  "m": {pencil.m},'
+        f'\n  "n": {pencil.n},\n  "r": {pencil.r}\n}}\n'
+    )
+    return sha256(text.encode()).hexdigest()
+
+
+def _grid_text(grid):
+    """A nonempty exact grid as `dumps` writes the value of a top-level key."""
+    rows = [
+        ",\n      ".join([str(x) if x.denominator == 1 else '"%s"' % x for x in row])
+        for row in grid
+    ]
+    return "[\n    [\n      " + "\n    ],\n    [\n      ".join(rows) + "\n    ]\n  ]"
 
 
 def _decode_int(obj, key):

@@ -717,6 +717,19 @@ def test_verify_does_not_load_openssl(tmp_path):
         assert r["pencil_sha256"] == hashlib.sha256(text.encode()).hexdigest()
 
 
+def test_verify_writes_each_pencil_hash_without_json(tmp_path, capsys, monkeypatch):
+    # every sigma's hash comes from io.pencil_sha256; the summary is the one
+    # document that goes through io.dumps (cold (2, 2, 4) system, 24 sigma)
+    doc = rio.encode_system(rand_system(random.Random(2804), 2, 2, 4))
+    calls = _count_calls(monkeypatch, ((rio, "encode_pencil"), (rio, "dumps")))
+    code, out, _ = run(capsys, "verify", "--input", write(tmp_path, "s.json", doc), "--all")
+    assert code == 0 and len(json.loads(out)["results"]) == 24
+    assert not calls["encode_pencil"]
+    assert [set(args[0]) for args in calls["dumps"]] == [
+        {"m", "results", "distinct_pencils", "all_passed"}
+    ]
+
+
 @settings(max_examples=20, deadline=None)
 @given(exact_systems())
 def test_det_constant_matches_the_pencil_determinant(sys):

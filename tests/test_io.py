@@ -1,15 +1,20 @@
 """JSON interchange: round trips, scalar conventions, schema validation."""
 
+import hashlib
 import json
 import random
 from fractions import Fraction as F
+from itertools import permutations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from _helpers import rand_rep_spec, rand_system
+from _helpers import exact_systems, rand_rep_spec, rand_system
 from rosepen import io as rio
-from rosepen.fiedler import Bijection, pencil_direct
-from rosepen.polymat import Poly
+from rosepen.fiedler import Bijection, pencil_algorithm1, pencil_direct
+from rosepen.polymat import Poly, PolyMatrix
+from rosepen.system import RosenbrockSystem
 
 
 def test_scalar_conventions():
@@ -104,3 +109,37 @@ def test_dumps_is_canonical():
     a = rio.dumps({"b": 1, "a": [2, 3]})
     b = rio.dumps({"a": [2, 3], "b": 1})
     assert a == b and a.endswith("\n")
+
+
+def _dumps_sha256(pencil):
+    return hashlib.sha256(rio.dumps(rio.encode_pencil(pencil)).encode()).hexdigest()
+
+
+# an m = 5, r = 0 system with p/q coefficients, which random draws seldom reach
+_M5_GRIDS = [[[F(k - 2, 3), -k], [F(1, k + 2), F(-5, 2)]] for k in range(6)]
+
+
+@settings(max_examples=40, deadline=None)
+@example(RosenbrockSystem(PolyMatrix.from_coefficient_grids(_M5_GRIDS)))
+@given(exact_systems(degrees=st.integers(2, 5)))
+def test_pencil_sha256_hashes_the_dumps_text(sys):
+    # integer and p/q entries, r = 0..2, every sigma of m = 2..5
+    for order in permutations(range(sys.m)):
+        pencil = pencil_algorithm1(sys, Bijection(order))
+        assert rio.pencil_sha256(pencil) == _dumps_sha256(pencil), order
+
+
+def test_pencil_sha256_of_a_decoded_pencil():
+    doc = {
+        "lead": [[1, 0], [0, 0]],
+        "const_term": [["-7/3", -1], ["1/2", "-12/5"]],
+        "n": 1,
+        "r": 0,
+        "m": 2,
+        "b_row_block": 2,
+        "c_col_block": 1,
+    }
+    pencil = rio.decode_pencil(doc)
+    assert rio.pencil_sha256(pencil) == _dumps_sha256(pencil)
+    with pytest.raises(TypeError):
+        rio.pencil_sha256(rio.decode_pencil(doc, "float"))
