@@ -22,7 +22,7 @@ from . import io as rio
 from ._linalg import EXACT, FLOAT, ConvergenceError
 from .eigen import classify_zeros, solve_rep
 from .equivalence import CertificateError, build_certificate
-from .fiedler import Bijection, ciss, pencil_algorithm1, pencil_direct
+from .fiedler import Bijection, ciss, pencil_algorithm1
 from .polymat import smith_form
 from .system import SingularStateError, assemble_system_matrix, is_minimal, realize, system_det
 
@@ -83,8 +83,7 @@ def cmd_build(args):
             default = True
     except InvalidSigma as exc:
         return _fail(EXIT_SIGMA, f"invalid sigma: {exc}")
-    pencil = pencil_direct(sys, sigma)
-    payload = rio.encode_pencil(pencil)
+    payload = rio.encode_pencil(pencil_algorithm1(sys, sigma))
     payload["sigma"] = list(sigma.inverse_order)
     payload["sigma_default"] = default
     _emit(rio.dumps(payload), args.out)
@@ -169,8 +168,8 @@ def cmd_verify(args):
     if sys.m < 2:
         return _fail(EXIT_PARSE, "certificates need a system of degree m >= 2")
     if args.all:
-        if args.pencil:
-            return _fail(EXIT_PARSE, "--pencil cannot be combined with --all")
+        if args.pencil or args.sigma:
+            return _fail(EXIT_PARSE, "--all sweeps every sigma; it takes no --sigma or --pencil")
         max_m = os.environ.get("ROSEPEN_MAX_M", DEFAULT_MAX_M)
         try:
             max_m = int(max_m)

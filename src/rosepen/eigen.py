@@ -41,6 +41,7 @@ from .system import (
     is_minimal,
     realize,
     state_det,
+    state_eigenvalues,
     system_det,
     transfer_function,
 )
@@ -211,8 +212,8 @@ def classify_zeros(sys, sigma=None, backend="exact", pencil=None):
 
     The exact backend reads the zeros from det S, the system's memoised
     `system_det`: a Fiedler pencil of S is a Rosenbrock linearization with
-    det(pencil) = det S for every sigma (c = 1), so it builds no pencil,
-    reports det_constant 1 and is singular exactly when det S = 0.  It
+    det(pencil) = det S for every sigma (c = 1), so it builds no pencil and
+    takes none, reports det_constant 1 and is singular iff det S = 0.  It
     builds one gcd-free base of det S, the pole polynomial of G,
     det(lam*E - A) and the Smith-McMillan numerators and denominators, and
     lists the zeros (the roots of det S) and the poles over it one element
@@ -221,14 +222,15 @@ def classify_zeros(sys, sigma=None, backend="exact", pencil=None):
     its ind_phi and ind_psi are that element's exponents in the numerators
     and in the reversed denominators, so no value is compared with a
     tolerance.  The Smith-McMillan form is that of `transfer_function`,
-    which holds G as N / d over one common denominator.
-    Passing `pencil` is for the numeric backend only.
+    which holds G as N / d over one common denominator; det(lam*E - A) is
+    the system's memoised `state_det`, which that denominator shares.
 
     The numeric backend runs QZ on `pencil`, the Fiedler pencil of sigma
-    (first companion by default) built by the product when not given,
-    clusters roots and matches zeros with poles by `_on_a_pole`, as
-    `eig_eip_split` does.  det(lam*E - A) is the system's memoised
-    `state_det`, which G's common denominator shares.
+    (first companion by default), which is the dense product `pencil_direct`
+    when not given: that route's one production use.  The poles are the
+    system's memoised `state_eigenvalues`, shared with the float decoupling
+    test; zeros are clustered and matched with poles by `_on_a_pole`, as
+    `eig_eip_split` does.
     """
     if not sys.e_is_nonsingular():
         raise SingularStateError("E is singular")
@@ -300,13 +302,8 @@ def classify_zeros(sys, sigma=None, backend="exact", pencil=None):
     # numeric backend: poles from a dense generalized eigensolver on (A, E)
     import numpy as np
 
-    if sys.r > 0:
-        a = _linalg.to_float_array(sys.A)
-        e = _linalg.to_float_array(sys.E)
-        raw = _linalg.qz_eig(a, e)
-        pole_roots = [complex(v) for v in raw if np.isfinite(v)]
-    else:
-        pole_roots = []
+    state_eigs = state_eigenvalues(sys) if sys.r else ()
+    pole_roots = [complex(v) for v in state_eigs if np.isfinite(v)]
     values = [value for value, _mult in gep.eigenvalues]
     zeros = [
         ZeroEntry(value=value, classification=EIGENPOLE if is_pole else EIGENVALUE)
@@ -320,8 +317,7 @@ def solve_rep(spec, sigma=None, backend="exact"):
     """Direct method for a rational eigenproblem: realize the spec in
     state-space form, then classify its zeros.  The exact backend reads
     them from det S; the numeric backend solves the Fiedler pencil of
-    sigma, built by the splicing construction (the product for m = 1), by
-    QZ.
+    sigma, spliced by `pencil_algorithm1`, by QZ.
 
     `spec` is a `RepSpec`, or a `RosenbrockSystem` already realized from
     one.  Minimality is decided once, by `classify_zeros`; a non-minimal
@@ -330,9 +326,8 @@ def solve_rep(spec, sigma=None, backend="exact"):
     """
     sys = spec if isinstance(spec, RosenbrockSystem) else realize(spec)
     pencil = None
-    if backend == "numeric" and sys.m >= 2:
-        if sigma is None:
-            sigma = Bijection.first_companion_order(sys.m)
+    if backend == "numeric":
+        sigma = sigma or Bijection.first_companion_order(sys.m)
         pencil = pencil_algorithm1(sys, sigma)
     report = classify_zeros(sys, sigma=sigma, backend=backend, pencil=pencil)
     if not report.minimal:

@@ -10,10 +10,12 @@ where the single B-row and C-column land in the assembled pencil.
 
 Three construction routes are provided and must agree entrywise: the direct
 factor product, the row/column splicing algorithm (Algorithm 1), and the
-block formula that borders a classical Fiedler pencil of P.  The splice
-builds the product of the factors 0..k for any k, so the same code gives the
-Fiedler pencil (k = m - 1) and the certificate's intermediate pencils
-(`equivalence.intermediate_pencil`).
+block formula that borders a classical Fiedler pencil of P.  The splice,
+the production route at every degree and in both modes, builds the product
+of the factors 0..k for any k, so the same code gives the Fiedler pencil
+(k = m - 1) and the certificate's intermediate pencils
+(`equivalence.intermediate_pencil`).  The product serves only numeric
+`classify_zeros` on a system; otherwise both are test oracles.
 
 The factors, their closed-form inverses, the spliced products, the border
 of the block formula and the system block transpose are laid out by
@@ -334,21 +336,22 @@ def _spliced_product(sys, sigma, k):
 
 def pencil_algorithm1(sys, sigma):
     """lam*M_m - M_sigma with the factor product spliced (Algorithm 1) by
-    `_spliced_product`, not multiplied; the result must match
-    pencil_direct exactly.  The B-row and C-column blocks are those of
-    -A_0.  Only the lead M_m is a factor grid, read through
-    `_factor_grid`.
-
-    The product is laid out with the mode's zero and negated afterwards,
-    so a float pencil's zeros carry the signs of `pencil_direct`'s.
+    `_spliced_product`, not multiplied, at every degree (M_0 itself at
+    m = 1); it matches pencil_direct exactly, float zero signs included.
+    The B-row and C-column blocks are those of -A_0.  Only the lead M_m is
+    a factor grid, read through `_factor_grid`.  For m >= 2 in float mode
+    every zero of the constant term is written -0.0, because the dense
+    product sums each entry from 0 (a zero comes out +0.0) and negates it.
     """
-    if sys.m < 2:
-        raise ValueError("the splicing construction needs degree m >= 2")
     if sigma.m != sys.m:
         raise ValueError("bijection length does not match the system degree")
     prod, c_col, b_row = _spliced_product(sys, sigma, sys.m - 1)
+    if sys.m >= 2 and sys.mode == _linalg.FLOAT:
+        const = tuple([tuple([-x or -0.0 for x in row]) for row in prod])
+    else:
+        const = _linalg.neg(prod)
     lead = _factor_grid(sys, sys.m)
-    return SystemPencil(lead, _linalg.neg(prod), sys.n, sys.r, sys.m, b_row, c_col)
+    return SystemPencil(lead, const, sys.n, sys.r, sys.m, b_row, c_col)
 
 
 def pencil_block_formula(sys, sigma):
@@ -378,13 +381,13 @@ def first_companion(sys):
     subdiagonal is negated, and B sits in the last block column of the
     state row.
     """
-    return pencil_direct(sys, Bijection.first_companion_order(sys.m))
+    return pencil_algorithm1(sys, Bijection.first_companion_order(sys.m))
 
 
 def second_companion(sys):
     """The companion pencil with sigma^{-1} = (0, 1, ..., m-1); equals the
     system block transpose of the first companion form."""
-    return pencil_direct(sys, Bijection.second_companion_order(sys.m))
+    return pencil_algorithm1(sys, Bijection.second_companion_order(sys.m))
 
 
 def _border_structure_ok(grid, n, m, row_block, col_block, zero):

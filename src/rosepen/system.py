@@ -46,6 +46,7 @@ __all__ = [
     "assemble_system_matrix",
     "system_det",
     "state_det",
+    "state_eigenvalues",
     "state_pencil",
     "transfer_function",
     "decoupling_zeros",
@@ -211,6 +212,12 @@ def state_det(sys):
     return sys.memo("det_state", lambda: poly_matrix_det(state_pencil(sys)))
 
 
+def state_eigenvalues(sys):
+    """QZ eigenvalues of (A, E) in floats, computed once per system object."""
+    to_float = _linalg.to_float_array
+    return sys.memo("eig_state", lambda: _linalg.qz_eig(to_float(sys.A), to_float(sys.E)))
+
+
 def state_pencil(sys):
     """lam*E - A as an r-by-r PolyMatrix (requires r >= 1)."""
     if sys.r == 0:
@@ -289,13 +296,9 @@ def decoupling_zeros(sys):
 
     import numpy as np
 
-    a = _linalg.to_float_array(sys.A)
-    e = _linalg.to_float_array(sys.E)
-    b = _linalg.to_float_array(sys.B)
-    c = _linalg.to_float_array(sys.C)
-    eigs = _linalg.qz_eig(a, e)
+    a, e, b, c = [_linalg.to_float_array(g) for g in (sys.A, sys.E, sys.B, sys.C)]
     inputs, outputs = [], []
-    for lam in eigs:
+    for lam in state_eigenvalues(sys):
         if not np.isfinite(lam):
             continue
         m_in = np.hstack([a - lam * e, b])

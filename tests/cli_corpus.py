@@ -14,8 +14,9 @@ numeric on float input) on `rand_system` systems with m = 1..4, most of them
 with irrational zeros, one with B = 0 and one with C = 0, on `rand_rep_spec`
 specs with n = 1..3 and on the hand-written specs, `verify --all`, `realize`
 and `smith`, also on non-square, rank-deficient and zero-row polynomial
-matrices.  A float `zeros` run on a spec of degree >= 2 is the CLI path that
-splices a float pencil.  `verify --sigma ... --pencil` runs on forged
+matrices.  Float systems whose zero entries carry a sign (m = 1..3, one
+with r = 0) pin the signed zeros of float `build` and numeric `zeros`.
+`verify --sigma ... --pencil` runs on forged
 pencils pin each failure's message and position, one `verify --all
 --jobs 2` run pins the worker path, and one `verify --all` run on an m = 5
 system (120 sigma) pins degree-5 intermediate pencils.  The name does not
@@ -63,6 +64,25 @@ def systems():
     # C = 0: every state is an output-decoupling zero and G = P
     c0 = rio.encode_system(rand_system(random.Random(2240), 2, 2, 2))
     docs["sys-n2r2m2-c0"] = {**c0, "C": [[0, 0], [0, 0]]}
+    return docs
+
+
+def signed_zero_systems():
+    """name -> float system document with entries in {-1, 0, 1}, each zero
+    entry of P, A, E, B and C written 0.0 or -0.0 by a coin toss:
+    (n, r, m) = (1, 1, 1), (2, 0, 2) and (2, 2, 3)."""
+    rng = random.Random(2600)
+
+    def signed(x):
+        if isinstance(x, list):
+            return [signed(y) for y in x]
+        return float(x) if x or rng.random() < 0.5 else -0.0
+
+    docs = {}
+    for n, r, m in ((1, 1, 1), (2, 0, 2), (2, 2, 3)):
+        seed = 2600 + 100 * m + 10 * r + n
+        doc = rio.encode_system(rand_system(random.Random(seed), n, r, m, lo=-1, hi=1))
+        docs[f"sys-float-n{n}r{r}m{m}-{seed}"] = {k: signed(doc[k]) for k in "PAEBC"}
     return docs
 
 
@@ -166,6 +186,15 @@ def commands():
     # m = 5, past the systems above: degree-5 entries of lam*D_j
     m5 = rio.encode_system(rand_system(random.Random(1152), 2, 1, 5))
     out.append(("sys-n2r1m5-1152", m5, ["verify", "--all"], None))
+    for name, doc in signed_zero_systems().items():
+        m = max(len(entry) for row in doc["P"] for entry in row) - 1
+        out += [
+            (name, doc, ["build", "--mode", "float"], None),
+            (name, doc, ["zeros", "--mode", "float", "--backend", "numeric"], None),
+        ]
+        if m >= 2:
+            sigma = ",".join(str(i) for i in [1, 0, *range(2, m)])
+            out.append((name, doc, ["build", "--mode", "float", "--sigma", sigma], None))
     for name, doc in poly_matrices().items():
         out.append((name, doc, ["smith"], None))
     for name, doc in specs().items():

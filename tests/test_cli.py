@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _helpers import det_constant_oracle, exact_systems, rand_system, rep_specs
-from rosepen import cli, eigen, equivalence, fiedler, polymat, system
+from rosepen import _linalg, cli, eigen, equivalence, fiedler, polymat, system
 from rosepen import io as rio
 from rosepen.cli import main
 from rosepen.fiedler import Bijection, pencil_algorithm1, pencil_direct
@@ -32,6 +32,8 @@ DESK1_JSON = {
     "B": [[1]],
     "C": [[1]],
 }
+
+M3_JSON = {"P": [[[1, 2, 0, 1]]], "A": [[3]], "E": [[1]], "B": [[2]], "C": [[1]]}
 
 EXNOEVL_SPEC_JSON = {
     "P": [[[1], [0]], [[0], [1]]],
@@ -277,6 +279,48 @@ def test_numeric_zeros_solves_one_product_pencil(tmp_path, capsys, monkeypatch):
     assert not calls["pencil_algorithm1"] and not calls["pencil_determinant"]
 
 
+_M1_SYSTEM_JSON = {"P": [[[2, 1]]], "A": [[3]], "E": [[1]], "B": [[1]], "C": [[1]]}
+_M1_SPEC_JSON = {"P": [[[1, 1]]], "terms": [{"num": [1], "den": [-2, 1], "matrix": [[1]]}]}
+
+
+@pytest.mark.parametrize(
+    "doc, argv",
+    [
+        (_M1_SYSTEM_JSON, ["build"]),
+        (_M1_SYSTEM_JSON, ["build", "--mode", "float"]),
+        (M3_JSON, ["build"]),
+        (M3_JSON, ["build", "--mode", "float"]),
+        (_M1_SPEC_JSON, ["zeros", "--backend", "numeric"]),
+    ],
+    ids=["build-m1", "build-m1-float", "build-m3", "build-m3-float", "numeric-zeros-spec-m1"],
+)
+def test_pencils_are_spliced_at_every_degree(doc, argv, tmp_path, capsys, monkeypatch):
+    # numeric zeros on a system is the one caller left on the dense product
+    calls = _count_calls(monkeypatch, _PENCIL_WORK)
+    path = write(tmp_path, "in.json", doc)
+    code, _, _ = run(capsys, argv[0], "--input", path, *argv[1:])
+    assert code == 0
+    assert len(calls["pencil_algorithm1"]) == 1 and not calls["pencil_direct"]
+
+
+def test_float_numeric_zeros_runs_qz_on_the_state_pencil_once(tmp_path, capsys, monkeypatch):
+    # the float decoupling test and the numeric poles share one QZ on (A, E)
+    shapes = []
+    qz_eig = _linalg.qz_eig
+
+    def counting_qz(a, b, homogeneous=False):
+        shapes.append(a.shape)
+        return qz_eig(a, b, homogeneous)
+
+    monkeypatch.setattr(_linalg, "qz_eig", counting_qz)
+    doc = rio.encode_system(rand_system(random.Random(1631), 2, 2, 3))
+    path = write(tmp_path, "sys.json", doc)
+    code, out, _ = run(capsys, "zeros", "--input", path, "--mode", "float", "--backend", "numeric")
+    assert code == 0 and json.loads(out)["poles"]
+    # (A, E) is 2 x 2 and the pencil (n, r, m) = (2, 2, 3) is 8 x 8
+    assert sorted(shapes) == [(2, 2), (8, 8)]
+
+
 _Q = polymat.Poly([-2, 0, 1])  # lam^2 - 2
 _QE = polymat.Poly([-2 - F(2, 10**5), 0, 1])  # lam^2 - 2 - 2e-5
 _SQRT2 = 2**0.5
@@ -485,9 +529,6 @@ def test_verify_all_computes_det_s_once(tmp_path, capsys, monkeypatch):
     assert len(calls) == 2
 
 
-M3_JSON = {"P": [[[1, 2, 0, 1]]], "A": [[3]], "E": [[1]], "B": [[2]], "C": [[1]]}
-
-
 def test_verify_jobs_pool_is_capped(tmp_path, capsys, monkeypatch):
     import concurrent.futures
 
@@ -516,6 +557,18 @@ def test_verify_jobs_pool_is_capped(tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
         assert run(capsys, "verify", "--input", path, "--all", "--jobs", "64") == serial
         assert asked == want
+
+
+@pytest.mark.parametrize("flag", ["--sigma", "--pencil"])
+def test_verify_all_rejects_a_single_sigma(flag, tmp_path, capsys):
+    # --all sweeps every sigma, so a --sigma or --pencil beside it would be
+    # ignored: an error, not a run that reads as checking it
+    path = write(tmp_path, "desk1.json", DESK1_JSON)
+    code, pencil, _ = run(capsys, "build", "--input", path)
+    value = "0,1" if flag == "--sigma" else write(tmp_path, "pencil.json", json.loads(pencil))
+    code, out, err = run(capsys, "verify", "--input", path, "--all", flag, value)
+    assert (code, out) == (2, "")
+    assert err == "rosepen: --all sweeps every sigma; it takes no --sigma or --pencil\n"
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

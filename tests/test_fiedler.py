@@ -8,8 +8,10 @@ from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _helpers import LAM, ONE, desk1_system, grid_int, rand_grid, rand_system
+from _helpers import _SCALAR as _EXACT_SCALARS
 from _helpers import exact_systems as _exact_systems
 from rosepen import _linalg as L
 from rosepen import io as rio
@@ -168,10 +170,58 @@ def test_algorithm1_seed_matrices_desk1():
     assert grid_int(L.neg(inversion.const_term)) == [[0, 0, -1], [1, 0, 0], [0, -1, -1]]
 
 
-def test_algorithm1_needs_degree_two():
-    sys = RosenbrockSystem(PolyMatrix([[LAM]]), [[1]], [[1]], [[1]], [[1]])
-    with pytest.raises(ValueError):
-        pencil_algorithm1(sys, Bijection((0,)))
+# signed zeros, the float range's ends and its smallest subnormal, and floats
+# in between
+_FLOAT_SCALARS = st.sampled_from((0.0, -0.0, 1.0, -1.0, 1.7e308, -1.7e308, 5e-324)) | st.floats(
+    -1.7e308, 1.7e308
+)
+
+
+@st.composite
+def _any_degree_systems(draw, scalars, mode):
+    """Systems of `mode` with n <= 2, r <= 2 and m = 1..4; at m = 1 P may be
+    constant (deg P = 0, an implied zero leading coefficient)."""
+    n, r, m = draw(st.integers(1, 2)), draw(st.integers(0, 2)), draw(st.integers(1, 4))
+
+    def grid(h, w):
+        return [[draw(scalars) for _ in range(w)] for _ in range(h)]
+
+    grids = [grid(n, n) for _ in range(m + 1)]
+    if m == 1 and draw(st.booleans()):
+        grids = grids[:1]
+    elif not any(any(row) for row in grids[m]):
+        grids[m][0][0] = L.coerce_scalar(1, mode)
+    P = PolyMatrix.from_coefficient_grids(grids, mode)
+    if r == 0:
+        return RosenbrockSystem(P)
+    return RosenbrockSystem(P, grid(r, r), grid(r, r), grid(r, n), grid(n, r))
+
+
+def _assert_same_pencil(got, want):
+    """Equal block indices, and equal entries of one type; a float entry
+    also in its sign, so -0.0 and 0.0 differ."""
+    assert (got.b_row_block, got.c_col_block) == (want.b_row_block, want.c_col_block)
+    assert len({L.shape(g) for g in (got.lead, got.const_term, want.lead, want.const_term)}) == 1
+    for a, b in ((got.lead, want.lead), (got.const_term, want.const_term)):
+        for x, y in zip([x for row in a for x in row], [y for row in b for y in row]):
+            assert type(x) is type(y) and x == y, (x, y)
+            if isinstance(x, float):
+                assert math.copysign(1.0, x) == math.copysign(1.0, y), (x, y)
+
+
+@pytest.mark.parametrize(
+    "scalars, mode", [(_EXACT_SCALARS, L.EXACT), (_FLOAT_SCALARS, L.FLOAT)], ids=["exact", "float"]
+)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_splice_equals_product_at_every_degree(scalars, mode, data):
+    # the splice is the pencil of every caller but numeric classify_zeros,
+    # so it must equal the dense product for m = 1 too, and in float mode
+    # in the sign of every zero
+    sys = data.draw(_any_degree_systems(scalars, mode))
+    for perm in permutations(range(sys.m)):
+        sigma = Bijection(perm)
+        _assert_same_pencil(pencil_algorithm1(sys, sigma), pencil_direct(sys, sigma))
 
 
 def test_three_constructions_agree_m4_exhaustive():
@@ -464,16 +514,16 @@ def _float_system(seed, n, r, m):
 # sha256 over every sigma, in `permutations` order, of
 # repr((lead, const_term, b_row_block, c_col_block)) of the spliced pencil,
 # keyed by (n, r, m, seed); these bytes, signed zeros included, were taken
-# from the splice of an explicit block grid flattened row by row
+# from the dense factor product `pencil_direct` on the same systems
 _FLOAT_SPLICE_SHA256 = {
-    (1, 0, 2, 2120): "2b0d5a3ef6a030c400ed6fa9a49e6f46c788ecbf04e0a93cf0ff9e67c973fb84",
+    (1, 0, 2, 2120): "4f268b3e1a3be3bdb6a86cd099b134ea8b8758ba756fa2d03ff688b44e1aba19",
     (2, 1, 2, 2121): "58e167112d941cbee7d6cf3e3d6ac9cb99755e919b5e66b3860623f2923876e7",
     (1, 2, 2, 2122): "f37a77abe81eef78d8d89f5cea95460377842c74a388e6ed05b6a02d65d3ef4a",
-    (2, 0, 3, 2130): "fb8365e0678e015352bb7276b93bb01277967448c0f77bdd4be3ba2996541f64",
-    (1, 1, 3, 2131): "2b0ccc838f90ddb3a387d1b90137991139fe34c30936913a8adeae79af11e677",
-    (2, 2, 3, 2132): "b1c6dfb795d8e0a2350b01aeaa2e9fd0204aa06362f70550ded529decc576d3c",
+    (2, 0, 3, 2130): "d306b3e01a6c37f326a845abfacc51add99e4695dd996bc52ec1aead34cc2e04",
+    (1, 1, 3, 2131): "195aed26554ec6858f13ce1f6b946bdd9c6acd1b8c90c14f0988afe7b354cd7b",
+    (2, 2, 3, 2132): "980174c05cd22ff4bc7217037d011cf9fbce89884629dc8da2b0e4d906b53e40",
     (1, 0, 4, 2140): "ed44eb02f8cace791c49fcf89c3e2975bb67357a49a6dc64b606e6c42da693c7",
-    (2, 1, 4, 2141): "bf0c1c790a5d7d7d391370ef8e3b178331d3d9672cd23faa91979e5c1f8cfbe7",
+    (2, 1, 4, 2141): "616646deba5c7b07cac4470065f1aba089224c69da79b42bdc0b4bf5d2bb62d4",
     (1, 2, 4, 2142): "8fbb0d60ac714f8d422da38b32804fe2122dbbb60cdcbc739b91dbaa8cc1b20f",
 }
 

@@ -142,6 +142,53 @@ def f():
     }
 
 
+def _readers(tree, name):
+    """The innermost enclosing function (None at module level) of every read
+    of `name`, bare or as an attribute; imports do not count."""
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        if (isinstance(node, ast.Name) and node.id == name) or (
+            isinstance(node, ast.Attribute) and node.attr == name
+        ):
+            found.add(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, None)
+    return found
+
+
+def test_the_dense_product_has_one_production_caller():
+    # every pencil is spliced (Algorithm 1) but the default pencil of numeric
+    # classify_zeros on a system; the product is otherwise a test oracle
+    found = {
+        (path.stem, scope)
+        for path in sorted(SRC.glob("*.py"))
+        for scope in _readers(ast.parse(path.read_text(encoding="utf-8")), "pencil_direct")
+    }
+    assert found == {("eigen", "classify_zeros")}
+
+
+def test_the_scan_finds_readers():
+    source = """
+from .fiedler import pencil_direct
+
+def f(sys):
+    return fiedler.pencil_direct(sys)
+
+def g():
+    def h():
+        return pencil_direct
+    return h
+
+alias = pencil_direct
+"""
+    assert _readers(ast.parse(source), "pencil_direct") == {"f", "h", None}
+
+
 def _benchmark_spans():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)
