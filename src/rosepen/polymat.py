@@ -173,6 +173,8 @@ class Poly:
         return out
 
     def __divmod__(self, other):
+        """Long division; a constant divisor (a unit) divides each nonzero
+        coefficient alone, and a zero one keeps the mode's zero, never -0.0."""
         self._check(other)
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
@@ -180,6 +182,9 @@ class Poly:
         dn = other.degree
         lead = other.coeffs[-1]
         q = [coerce_scalar(0, self.mode)] * max(len(rem) - dn, 0)
+        if dn == 0:
+            q = [c / lead if c else z for c, z in zip(rem, q)]
+            return Poly._trusted(q, self.mode), Poly._trusted((), self.mode)
         for i in range(len(rem) - 1, dn - 1, -1):
             if rem[i] == 0:
                 continue
@@ -878,7 +883,9 @@ def _smith_reduce(w, rows, cols):
     exact M, in place to its Smith form, and return that form.
 
     Elementary row/column reduction over Q[lam] with the minimal-degree
-    pivot rule.  The pivot search and the clearing loops look at M's block
+    pivot rule.  A constant pivot is a unit and divides every entry, so
+    only a non-constant one sweeps the trailing block for an entry it does
+    not divide.  The pivot search and the clearing loops look at M's block
     only, but a row operation spans the whole row of w and a column
     operation every row of w, so a border beside or below M records them:
     `smith_form_with_transforms` borders M with identities and reads U and
@@ -943,7 +950,9 @@ def _smith_reduce(w, rows, cols):
                     break
             if restart:
                 continue
-            # enforce divisibility of the trailing block by the pivot
+            # enforce divisibility of the trailing block by a non-unit pivot
+            if w[t][t].degree == 0:
+                break
             offender = None
             for i in range(t + 1, rows):
                 for j in range(t + 1, cols):

@@ -14,8 +14,9 @@ numeric on float input) on `rand_system` systems with m = 1..4, most of them
 with irrational zeros, one with B = 0 and one with C = 0, on `rand_rep_spec`
 specs with n = 1..3 and on the hand-written specs, `verify --all`, `realize`
 and `smith`, also on non-square, rank-deficient and zero-row polynomial
-matrices.  Float systems whose zero entries carry a sign (m = 1..3, one
-with r = 0) pin the signed zeros of float `build` and numeric `zeros`.
+matrices and on two diagonals that are no divisibility chain.  Float
+systems whose zero entries carry a sign (m = 1..3, one with r = 0) pin the
+signed zeros of float `build` and numeric `zeros`.
 `verify --sigma ... --pencil` runs on forged
 pencils pin each failure's message and position, one `verify --all
 --jobs 2` run pins the worker path, and one `verify --all` run on an m = 5
@@ -36,6 +37,7 @@ from pathlib import Path
 
 from _helpers import desk1_spec, eigenpole_index_system, exnoevl_spec, rand_rep_spec, rand_system
 from test_golden import DESK1, HAND_SPECS, _rationalise
+from test_polymat import NON_CHAIN_DIAGONALS
 
 from rosepen import io as rio
 from rosepen._linalg import freeze
@@ -109,7 +111,10 @@ def poly_matrices():
     """name -> polynomial-matrix document for `smith`: 2 x 3, 3 x 2, a
     3 x 3 of rank 2 (its last row is a polynomial combination of the
     others) and a 3 x 3 with a zero row.  One row or column of each is
-    scaled by a fixed polynomial, so each form has an invariant factor."""
+    scaled by a fixed polynomial, so each form has an invariant factor.
+    Two diagonals whose entries are no divisibility chain, diag(lam,
+    lam + 1) and diag(lam - 1, lam + 2, (lam - 1)(lam + 2)), reach their
+    form only through the divisibility sweep of a non-constant pivot."""
     rng = random.Random(2500)
 
     def poly():
@@ -128,6 +133,9 @@ def poly_matrices():
     zero_row = rows(3, 3, 2, Poly([1, 0, 1]))
     zero_row[1] = [Poly.zero()] * 3
     grids = {"2x3": wide, "3x2": tall, "rank2": rank2, "zero-row": zero_row}
+    for name, (diagonal, _) in NON_CHAIN_DIAGONALS.items():
+        k = len(diagonal)
+        grids[name] = [[diagonal[i] if i == j else Poly.zero() for j in range(k)] for i in range(k)]
     return {f"pm-{k}": rio.encode_poly_matrix(PolyMatrix(g)) for k, g in grids.items()}
 
 

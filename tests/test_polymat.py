@@ -310,6 +310,30 @@ def test_arithmetic_matches_naive_reference(mode):
                 assert [_exact_coeffs(x) for x in got] == [_exact_coeffs(x) for x in want]
 
 
+# a constant divisor is a unit: zero coefficients of either sign, negative
+# constants, and floats from subnormal to near overflow
+_DIVIDEND_SCALAR = {
+    "exact": _GCD_SCALAR,
+    "float": st.sampled_from([0.0, -0.0]) | st.floats(allow_nan=False, allow_infinity=False),
+}
+_UNIT_SCALAR = {
+    "exact": _GCD_SCALAR.filter(lambda c: c != 0),
+    "float": st.sampled_from([-1.0, -0.5, -3.0, 2.0])
+    | st.floats(allow_nan=False, allow_infinity=False).filter(lambda c: c != 0),
+}
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_division_by_a_constant_matches_naive_reference(mode, data):
+    p = Poly(data.draw(st.lists(_DIVIDEND_SCALAR[mode], max_size=6)), mode)
+    c = Poly([data.draw(_UNIT_SCALAR[mode])], mode)
+    got = divmod(p, c)
+    want = naive_poly_op("divmod", p, c)
+    assert [_exact_coeffs(x) for x in got] == [_exact_coeffs(x) for x in want]
+
+
 # --- poly_matrix_det --------------------------------------------------------
 
 def test_det_desk1_cofactor_value():
@@ -542,9 +566,43 @@ def test_smith_desk1_system_matrix():
     assert sf.zero_rows == sf.zero_cols == 0
 
 
-def test_smith_identity():
+def test_smith_identity(monkeypatch):
+    # a constant pivot divides every entry, so no divisibility sweep runs
+    calls = []
+    mod_poly = Poly.__mod__
+
+    def counting(self, other):
+        calls.append(1)
+        return mod_poly(self, other)
+
+    monkeypatch.setattr(Poly, "__mod__", counting)
     sf = smith_form(PolyMatrix.identity(4))
+    assert calls == []
     assert sf.identity_count == 4 and sf.invariant_polys == ()
+
+
+# diagonal matrices whose entries are no divisibility chain, and the
+# invariant factors after their one 1: only the divisibility sweep of a
+# non-constant pivot reaches these forms
+NON_CHAIN_DIAGONALS = {
+    "diag2": ([Poly([0, 1]), Poly([1, 1])], (Poly([0, 1, 1]),)),
+    "diag3": ([Poly([-1, 1]), Poly([2, 1]), Poly([-2, 1, 1])], (Poly([-2, 1, 1]),) * 2),
+}
+
+
+@pytest.mark.parametrize("name", NON_CHAIN_DIAGONALS)
+def test_smith_of_a_non_chain_diagonal(name):
+    diagonal, invariant = NON_CHAIN_DIAGONALS[name]
+    k = len(diagonal)
+    m = PolyMatrix([[diagonal[i] if i == j else Poly.zero() for j in range(k)] for i in range(k)])
+    sf = smith_form(m)
+    assert (sf.identity_count, sf.invariant_polys, sf.zero_rows, sf.zero_cols) == (1, invariant, 0, 0)
+    sf_t, u, v = smith_form_with_transforms(m)
+    assert sf_t == sf
+    assert u * m * v == smith_form_matrix(sf, k, k)
+    for t in (u, v):
+        d = poly_matrix_det(t)
+        assert d.degree == 0 and not d.is_zero
 
 
 def test_smith_rejects_float():

@@ -115,6 +115,24 @@ def test_desk1_minimal_with_empty_certificate():
     assert bool(res) and res.decoupling == DecouplingReport((), ())
 
 
+def test_minimality_of_a_minimal_system_divides_by_no_polynomial(monkeypatch):
+    # [A - lam*E, B] and [A - lam*E; C] of a minimal system have Smith form
+    # [I, 0]: every pivot is a constant, and a constant divides every entry
+    base = rand_system(random.Random(3), 2, 3, 3, minimal=True)
+    calls = []
+    mod_poly = Poly.__mod__
+
+    def counting(self, other):
+        calls.append(1)
+        return mod_poly(self, other)
+
+    monkeypatch.setattr(Poly, "__mod__", counting)
+    # a fresh system, so nothing rand_system's own check computed is reused
+    sys = RosenbrockSystem(base.P, base.A, base.E, base.B, base.C)
+    assert is_minimal(sys)
+    assert calls == []
+
+
 def test_b_zero_fails_controllability_everywhere():
     sys = RosenbrockSystem(
         PolyMatrix([[LAM]]), [[1, 0], [0, 2]], [[1, 0], [0, 1]], [[0], [0]], [[0, 0]]
