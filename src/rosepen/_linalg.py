@@ -12,6 +12,12 @@ their inverses, the spliced factor products of Algorithm 1 and of the
 intermediate pencils, the step matrices and target of the equivalence chain,
 and S(lam).  `embedded_block_transpose` is the block transpose of any of them.
 
+The module also holds the integer kernel of exact polynomial arithmetic:
+coefficient lists, lowest degree first, of integer polynomials, most of them
+primitive.  `polymat`'s gcd, gcd-free base, lowest terms and multiplicities
+and `_roots`' rational-root search run on it, and `multiplicity` is their
+one exact deflation.
+
 Across the package a tuple is built from a list, ``tuple([... for ...])``,
 never from a generator.  CPython sizes a tuple built from a generator at a
 guess of ten and shrinks it, and each shrunk tuple freed stays on the
@@ -22,6 +28,7 @@ process's memory grows with the number of requests it has served.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 EXACT = "exact"
 FLOAT = "float"
@@ -255,3 +262,81 @@ def rank_float(a):
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int((s > max(m.shape) * 2.0 ** -52 * s[0]).sum())
+
+
+def primitive_gcd(f, g):
+    """Primitive gcd of two primitive integer coefficient lists by the
+    remainder sequence of `polymat.poly_gcd`: [1] when they are coprime, []
+    when both are zero."""
+    if len(f) < len(g):
+        f, g = g, f
+    while len(g) > 1:
+        f, g = g, primitive_part(pseudo_remainder(f, g))
+    return [1] if g else f
+
+
+def primitive_part(coeffs):
+    """Coprime integer coefficients with the ratios of `coeffs` (ints or
+    Fractions, no trailing zero): denominators cleared, content divided
+    out.  [] for the zero polynomial."""
+    # a list, not a generator, for the argument tuple (see the module docstring)
+    scale = lcm(*[c.denominator for c in coeffs])
+    ints = [c.numerator * (scale // c.denominator) for c in coeffs]
+    content = gcd(*ints)
+    return [c // content for c in ints] if content > 1 else ints
+
+
+def pseudo_remainder(f, g):
+    """f mod g times a nonzero integer, for integer coefficient lists
+    with len(f) >= len(g) >= 2 and nonzero leading terms.  Each step scales
+    by lead(g) / gcd(lead(g), lead(r)) only, not by a full lead(g)."""
+    r = list(f)
+    dg = len(g) - 1
+    lead = g[-1]
+    while len(r) > dg:
+        c = r.pop()
+        if not c:
+            continue
+        k = gcd(c, lead)
+        u, v = lead // k, c // k
+        if u != 1:
+            r = [u * x for x in r]
+        shift = len(r) - dg
+        for j in range(dg):
+            r[shift + j] -= v * g[j]
+    while r and not r[-1]:
+        r.pop()
+    return r
+
+
+def exact_quotient(f, g):
+    """f / g for integer coefficient lists with g primitive, or None when g
+    does not divide f.  By Gauss's lemma a primitive g that divides f over
+    the rationals divides it over the integers, so every step of the long
+    division is an exact integer division; the first inexact one decides."""
+    dg = len(g) - 1
+    lead = g[-1]
+    r = list(f)
+    q = [0] * (len(f) - dg)
+    for i in range(len(q) - 1, -1, -1):
+        c, rest = divmod(r[i + dg], lead)
+        if rest:
+            return None
+        q[i] = c
+        if c:
+            for j in range(dg):
+                r[i + j] -= c * g[j]
+    return None if any(r[:dg]) else q
+
+
+def derivative(f):
+    return [k * c for k, c in enumerate(f)][1:]
+
+
+def multiplicity(f, g):
+    """(k, f / g**k) for the largest k such that the primitive integer
+    polynomial g**k divides f: the one exact deflation of the package."""
+    k = 0
+    while (q := exact_quotient(f, g)) is not None:
+        f, k = q, k + 1
+    return k, f

@@ -2,21 +2,23 @@
 
 Exact polynomials are solved over a gcd-free base (`polymat.gcd_free_base`)
 one element at a time: an element's rational roots are peeled off exactly
-(rational root theorem with exact synthetic division), and the rest go to
-the companion-matrix eigenvalue solver behind numpy.roots.  An element is
-square-free, so its roots are simple and come out accurate, and each
-carries the element's exact exponent as its multiplicity and belongs to
-that element by construction.  Numeric results are clustered with the
-scale-relative matching tolerance used throughout the package: two values
-coincide when |a - b| <= tol * max(1, |a|, |b|).
+(the rational root theorem on its primitive integer coefficients, each root
+divided out by `_linalg.multiplicity`, a linear rest solved outright), and
+the rest go to the companion-matrix eigenvalue solver behind numpy.roots.
+An element is square-free, so its roots are simple and come out accurate,
+and each carries the element's exact exponent as its multiplicity and
+belongs to that element by construction.  Numeric results are clustered
+with the scale-relative matching tolerance used throughout the package: two
+values coincide when |a - b| <= tol * max(1, |a|, |b|).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import islice
-from math import gcd, inf, isfinite, ldexp
+from math import gcd, ldexp
 
+from ._linalg import multiplicity, primitive_part
 from .polymat import EXACT, Poly, gcd_free_base
 
 MATCH_TOL = 1e-8
@@ -68,74 +70,43 @@ def _divisors(n):
 def rational_roots(p):
     """All rational roots with multiplicities, plus the deflated remainder.
 
-    The candidates are +-a/b for coprime divisors a of the constant and b
-    of the leading integer coefficient.  Each passes a float screen before
-    it becomes a `Fraction`, and exact evaluation decides; the roots come
-    back with 0 first, then ascending.  Gives up on the search (returning
-    no nonzero root) when there are more than _MAX_CANDIDATES candidates or
-    the divisor enumeration would be unreasonably large; the roots are then
-    still found numerically by the caller.
+    On the primitive integer coefficients f of p, lam**k and then every
+    candidate +-a/b (a | f's constant, b | its lead, coprime) are divided
+    out by `_linalg.multiplicity`, the one exact deflation; a linear rest
+    is solved outright, exact at any size.  The roots come back with 0
+    first, then ascending; the remainder keeps p's leading coefficient.
+    The search gives up (a linear rest is still solved) beyond
+    _MAX_CANDIDATES candidates or an unreasonably large divisor
+    enumeration; the caller then finds those roots numerically.
     """
     if p.mode != EXACT:
         raise ValueError("rational root extraction requires exact mode")
     if p.is_zero:
         raise ValueError("the zero polynomial has every point as a root")
-    roots = []
-    # powers of lam split off directly
-    k = 0
-    while k <= p.degree and p.coefficient(k) == 0:
-        k += 1
-    if k > 0:
-        roots.append((Fraction(0), k))
-        p = Poly(p.coeffs[k:], EXACT)
-    if p.degree < 1:
-        return roots, p
-    denlcm = 1
-    for c in p.coeffs:
-        denlcm = denlcm * c.denominator // gcd(denlcm, c.denominator)
-    ints = [int(c * denlcm) for c in p.coeffs]
-    num_divs = _divisors(ints[0])
-    den_divs = _divisors(ints[-1])
-    if num_divs is None or den_divs is None:
-        return roots, p
-    # each coprime pair is two distinct candidates, +-a/b
-    pairs = list(islice(
-        ((a, b) for a in num_divs for b in den_divs if gcd(a, b) == 1),
-        _MAX_CANDIDATES // 2 + 1,
-    ))
-    if 2 * len(pairs) > _MAX_CANDIDATES:
-        return roots, p
+    k, f = multiplicity(primitive_part(p.coeffs), [0, 1])
+    roots = [(Fraction(0), k)] if k else []
     found = []
-    float_coeffs = _float_coeffs(p)
-    for a, b in pairs:
-        if p.degree < 1:
-            break
-        for num in (a, -a):
-            # cheap float screen; a true root always passes, exact division
-            # decides.  Where the floats overflow it cannot decide.
-            if float_coeffs is not None and _screened_out(float_coeffs, num / b):
-                continue
-            cand = Fraction(num, b)
-            mult = 0
-            while p(cand) == 0:
-                p = p // Poly((-cand, 1), EXACT)
-                mult += 1
-            if mult:
-                found.append((cand, mult))
-                float_coeffs = _float_coeffs(p)
-    return roots + sorted(found), p
-
-
-def _screened_out(float_coeffs, x):
-    """Whether the float polynomial is clearly nonzero at x."""
-    acc = float_coeffs[-1]
-    for c in reversed(float_coeffs[:-1]):
-        acc = acc * x + c
-    try:
-        scale = max(abs(c) for c in float_coeffs) * max(1.0, abs(x)) ** (len(float_coeffs) - 1)
-    except OverflowError:
-        scale = inf
-    return isfinite(acc) and abs(acc) > 1e-6 * scale
+    num_divs = _divisors(f[0]) if len(f) > 2 else None
+    den_divs = _divisors(f[-1]) if num_divs is not None else None
+    if den_divs is not None:
+        # each coprime pair is two distinct candidates, +-a/b
+        pairs = list(islice(
+            ((a, b) for a in num_divs for b in den_divs if gcd(a, b) == 1),
+            _MAX_CANDIDATES // 2 + 1,
+        ))
+        if 2 * len(pairs) <= _MAX_CANDIDATES:
+            for a, b in pairs:
+                if len(f) <= 2:
+                    break
+                for num in (a, -a):
+                    e, f = multiplicity(f, [-num, b])
+                    if e:
+                        found.append((Fraction(num, b), e))
+    if len(f) == 2:
+        found.append((Fraction(-f[0], f[1]), 1))
+        f = f[1:]
+    rest = Poly([Fraction(c, f[-1]) * p.leading for c in f], EXACT)
+    return roots + sorted(found), rest
 
 
 def _float_coeffs(p):

@@ -52,7 +52,7 @@ from functools import reduce
 
 from . import _linalg
 from ._linalg import EXACT
-from .fiedler import _factor_grid, _spliced_product, pencil_algorithm1
+from .fiedler import _spliced_product, make_factor, pencil_algorithm1
 from .polymat import Poly, PolyMatrix, horner_shift
 from .system import _system_layout
 
@@ -274,7 +274,7 @@ def aux_relations_check(sys, i):
     lam = Poly.lam()
 
     def factor(k):
-        return PolyMatrix.from_scalar_grid(_factor_grid(sys, k), sys.mode)
+        return PolyMatrix.from_scalar_grid(make_factor(sys, k).matrix, sys.mode)
 
     q = aux_matrix(sys, "Q", i)
     rr = aux_matrix(sys, "R", i)

@@ -21,10 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
-from math import factorial, gcd, lcm, prod
+from math import factorial, lcm, prod
 
 from . import _linalg
-from ._linalg import EXACT, FLOAT, coerce_scalar
+from ._linalg import EXACT, FLOAT, coerce_scalar, derivative, exact_quotient
+from ._linalg import multiplicity, primitive_gcd, primitive_part
 
 __all__ = [
     "EXACT",
@@ -268,77 +269,12 @@ def poly_gcd(a, b):
     """
     if a.mode != EXACT or b.mode != EXACT:
         raise ValueError("polynomial gcd requires exact mode")
-    return _monic(_primitive_gcd(_primitive_part(a.coeffs), _primitive_part(b.coeffs)))
-
-
-def _primitive_gcd(f, g):
-    """Primitive gcd of two primitive integer coefficient lists by the
-    remainder sequence of `poly_gcd`: [1] when they are coprime, [] when
-    both are zero."""
-    if len(f) < len(g):
-        f, g = g, f
-    while len(g) > 1:
-        f, g = g, _primitive_part(_pseudo_remainder(f, g))
-    return [1] if g else f
+    return _monic(primitive_gcd(primitive_part(a.coeffs), primitive_part(b.coeffs)))
 
 
 def _monic(f):
     """The monic exact polynomial of an integer coefficient list."""
     return Poly._trusted([Fraction(c, f[-1]) for c in f], EXACT)
-
-
-def _primitive_part(coeffs):
-    """Coprime integer coefficients with the ratios of `coeffs` (ints or
-    Fractions, no trailing zero): denominators cleared, content divided
-    out.  [] for the zero polynomial."""
-    # a list, not a generator, for the argument tuple (see `_linalg`)
-    scale = lcm(*[c.denominator for c in coeffs])
-    ints = [c.numerator * (scale // c.denominator) for c in coeffs]
-    content = gcd(*ints)
-    return [c // content for c in ints] if content > 1 else ints
-
-
-def _pseudo_remainder(f, g):
-    """f mod g times a nonzero integer, for integer coefficient lists
-    with len(f) >= len(g) >= 2 and nonzero leading terms.  Each step scales
-    by lead(g) / gcd(lead(g), lead(r)) only, not by a full lead(g)."""
-    r = list(f)
-    dg = len(g) - 1
-    lead = g[-1]
-    while len(r) > dg:
-        c = r.pop()
-        if not c:
-            continue
-        k = gcd(c, lead)
-        u, v = lead // k, c // k
-        if u != 1:
-            r = [u * x for x in r]
-        shift = len(r) - dg
-        for j in range(dg):
-            r[shift + j] -= v * g[j]
-    while r and not r[-1]:
-        r.pop()
-    return r
-
-
-def _exact_quotient(f, g):
-    """f / g for integer coefficient lists with g primitive, or None when g
-    does not divide f.  By Gauss's lemma a primitive g that divides f over
-    the rationals divides it over the integers, so every step of the long
-    division is an exact integer division; the first inexact one decides."""
-    dg = len(g) - 1
-    lead = g[-1]
-    r = list(f)
-    q = [0] * (len(f) - dg)
-    for i in range(len(q) - 1, -1, -1):
-        c, rest = divmod(r[i + dg], lead)
-        if rest:
-            return None
-        q[i] = c
-        if c:
-            for j in range(dg):
-                r[i + j] -= c * g[j]
-    return None if any(r[:dg]) else q
 
 
 def _lowest_terms(nums, den):
@@ -352,26 +288,22 @@ def _lowest_terms(nums, den):
     first constant.  For one entry this is the fraction in lowest terms
     with a monic denominator.
     """
-    base = _primitive_part(den.coeffs)
+    base = primitive_part(den.coeffs)
     h = base
     for p in nums:
         if len(h) == 1:
             break
         if not p.is_zero:
-            h = _primitive_gcd(h, _primitive_part(p.coeffs))
+            h = primitive_gcd(h, primitive_part(p.coeffs))
     out = []
     for p in nums:
         if not p.is_zero:
             # p * d / den has the ratios of p / h and lead(p) / lead(den)
-            q = _exact_quotient(_primitive_part(p.coeffs), h)
+            q = exact_quotient(primitive_part(p.coeffs), h)
             c = p.leading / den.leading / q[-1]
             p = Poly._trusted([c * x for x in q], EXACT)
         out.append(p)
-    return out, _monic(_exact_quotient(base, h))
-
-
-def _derivative(f):
-    return [k * c for k, c in enumerate(f)][1:]
+    return out, _monic(exact_quotient(base, h))
 
 
 def gcd_free_base(polys):
@@ -390,38 +322,30 @@ def gcd_free_base(polys):
     if any(p.mode != EXACT or p.is_zero for p in polys):
         raise ValueError("a gcd-free base needs nonzero exact polynomials")
     # positive leading terms, so that p and -p are one input
-    ints = [[c if p.leading > 0 else -c for c in _primitive_part(p.coeffs)] for p in polys]
+    ints = [[c if p.leading > 0 else -c for c in primitive_part(p.coeffs)] for p in polys]
     todo = []
     for f in ints:
         if len(f) > 1 and f not in todo:
             todo.append(f)
-            g = _primitive_gcd(f, _primitive_part(_derivative(f)))
+            g = primitive_gcd(f, primitive_part(derivative(f)))
             if len(g) > 1:
-                todo.append(_exact_quotient(f, g))
+                todo.append(exact_quotient(f, g))
     base = []
     while todo:
         a = todo.pop()
         for i, b in enumerate(base):
-            g = _primitive_gcd(a, b)
+            g = primitive_gcd(a, b)
             if len(g) > 1:
                 # a = g * (a / g) and b = g * (b / g): the three go back
                 # through the refinement; total degree falls by deg g
                 del base[i]
                 todo.extend([
-                    h for h in (g, _exact_quotient(a, g), _exact_quotient(b, g)) if len(h) > 1
+                    h for h in (g, exact_quotient(a, g), exact_quotient(b, g)) if len(h) > 1
                 ])
                 break
         else:
             base.append(a)
-    return [_monic(b) for b in base], [[_multiplicity(f, b) for b in base] for f in ints]
-
-
-def _multiplicity(f, b):
-    """How many times the primitive integer polynomial b divides f."""
-    k = 0
-    while (f := _exact_quotient(f, b)) is not None:
-        k += 1
-    return k
+    return [_monic(b) for b in base], [[multiplicity(f, b)[0] for b in base] for f in ints]
 
 
 class RationalFn:
@@ -529,13 +453,13 @@ class RationalFn:
 def _root_multiplicity(p, lam0):
     """Multiplicity of the rational point lam0 as a root of an exact p: how
     many times the primitive b*lam - a, for lam0 = a/b, divides p's
-    primitive integer part (`_multiplicity`)."""
+    primitive integer part (`_linalg.multiplicity`)."""
     if p.is_zero:
         raise ValueError("zero polynomial has no root multiplicity")
     if p.mode != EXACT:
         raise ValueError("root multiplicity requires exact mode")
     lam0 = Fraction(lam0)
-    return _multiplicity(_primitive_part(p.coeffs), [-lam0.numerator, lam0.denominator])
+    return multiplicity(primitive_part(p.coeffs), [-lam0.numerator, lam0.denominator])[0]
 
 
 class PolyMatrix:

@@ -17,6 +17,9 @@ and `smith`, also on non-square, rank-deficient and zero-row polynomial
 matrices and on two diagonals that are no divisibility chain.  Float
 systems whose zero entries carry a sign (m = 1..3, one with r = 0) pin the
 signed zeros of float `build` and numeric `zeros`.
+Two systems with planted zeros pin exact and numeric `zeros` on a repeated
+rational zero with a denominator and on a zero on a pole, and `ciss` runs on
+identity, reversed and mixed sigma for m = 1..5 and on an invalid sigma.
 `verify --sigma ... --pencil` runs on forged
 pencils pin each failure's message and position, one `verify --all
 --jobs 2` run pins the worker path, and one `verify --all` run on an m = 5
@@ -139,6 +142,41 @@ def poly_matrices():
     return {f"pm-{k}": rio.encode_poly_matrix(PolyMatrix(g)) for k, g in grids.items()}
 
 
+def planted_systems():
+    """name -> system document with planted rational zeros: r = 0 and
+    P = diag(lam^3 (3 lam - 2)^2, lam^2 - 2), and r = 1 with
+    P = diag(lam, (lam - 3)(2 lam - 1)^2), A = 3, E = 1 and the state
+    coupled to the first channel only, so det S has the double zero 1/2,
+    an irrational pair and the zero 3 on the pole 3."""
+    return {
+        "sys-planted-r0": {
+            "P": [[[0, 0, 0, 4, -12, 9], [0]], [[0], [-2, 0, 1]]],
+            "A": [],
+            "E": [],
+            "B": [],
+            "C": [[], []],
+        },
+        "sys-planted-r1": {
+            "P": [[[0, 1], [0]], [[0], [-3, 13, -16, 4]]],
+            "A": [[3]],
+            "E": [[1]],
+            "B": [[1, 0]],
+            "C": [[1], [0]],
+        },
+    }
+
+
+def sigmas():
+    """The sigma of every `ciss` run: for m = 1..5 the identity, its
+    reverse and the mixed order with neighbours swapped in pairs (1,0,3,2,
+    ...), each once, and the invalid 0,2."""
+    out = []
+    for m in range(1, 6):
+        mixed = [i ^ 1 if i ^ 1 < m else i for i in range(m)]
+        out += [list(range(m)), list(range(m))[::-1], mixed]
+    return list(dict.fromkeys(",".join(map(str, s)) for s in out)) + ["0,2"]
+
+
 def forged(doc, order, where):
     """The spliced pencil of `order` for the system `doc`, with 1 added to
     one constant entry: in block row 1 (rows that step 1 of the certificate
@@ -205,6 +243,12 @@ def commands():
             out.append((name, doc, ["build", "--mode", "float", "--sigma", sigma], None))
     for name, doc in poly_matrices().items():
         out.append((name, doc, ["smith"], None))
+    for name, doc in planted_systems().items():
+        out += [
+            (name, doc, ["zeros"], None),
+            (name, doc, ["zeros", "--backend", "numeric"], None),
+        ]
+    out += [(None, None, ["ciss", "--sigma", sigma], None) for sigma in sigmas()]
     for name, doc in specs().items():
         out += [
             (name, doc, ["realize"], None),
@@ -218,11 +262,14 @@ def commands():
 
 def run(tmp, name, doc, argv, pencil=None):
     """Exit code and the sha256 of stdout of `rosepen <argv[0]> --input
-    <doc> <argv[1:]>`; with a `pencil` document, the argument after
-    `--pencil` names it and is replaced by the path it is written to."""
-    path = Path(tmp) / f"{name}.json"
-    path.write_text(json.dumps(doc))
-    args = [argv[0], "--input", str(path), *argv[1:]]
+    <doc> <argv[1:]>`, or of `rosepen <argv>` when `doc` is None; with a
+    `pencil` document, the argument after `--pencil` names it and is
+    replaced by the path it is written to."""
+    args = list(argv)
+    if doc is not None:
+        path = Path(tmp) / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        args[1:1] = ["--input", str(path)]
     if pencil is not None:
         ppath = Path(tmp) / f"{name}-pencil.json"
         ppath.write_text(json.dumps(pencil))
@@ -239,5 +286,5 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         for name, doc, argv, pencil in commands():
             code, digest = run(tmp, name, doc, argv, pencil)
-            cmd = " ".join([argv[0], "--input", name, *argv[1:]])
+            cmd = " ".join(argv if doc is None else [argv[0], "--input", name, *argv[1:]])
             sys.stdout.write(f"{cmd} {code} {digest}\n")

@@ -1,5 +1,6 @@
 """End-to-end command line behavior: schemas, exit codes, determinism."""
 
+import argparse
 import hashlib
 import io
 import json
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import cli_corpus
 from _helpers import det_constant_oracle, exact_systems, rand_system, rep_specs
 from rosepen import _linalg, cli, eigen, equivalence, fiedler, polymat, system
 from rosepen import io as rio
@@ -834,6 +836,12 @@ def test_parser_is_built_once_per_process(tmp_path, capsys):
     assert cli._build_parser.cache_info().misses == 1
 
 
+def test_corpus_runs_every_subcommand():
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) <= {argv[0] for _, _, argv, _ in cli_corpus.commands()}
+
+
 def test_verify_forged_pencil_after_a_passing_sweep(tmp_path, capsys):
     path = write(tmp_path, "desk1.json", DESK1_JSON)
     code, out, _ = run(capsys, "verify", "--input", path, "--all")
@@ -965,6 +973,14 @@ def test_exact_zeros_beyond_float_range(tmp_path, capsys):
             re, im = re * x - im * y + c, re * y + im * x
         size = sum(abs(c) * F(abs(z)) ** k for k, c in enumerate(det.coeffs))
         assert re * re + im * im <= (F(1e-12) * size) ** 2
+
+
+def test_exact_zeros_of_a_linear_p_beyond_the_divisor_bound(tmp_path, capsys):
+    # the lead 10000000000039 is beyond the rational-root search's bound
+    doc = {"P": [[[-7, 10000000000039]]], "A": [], "E": [], "B": [], "C": []}
+    code, out, _ = run(capsys, "zeros", "--input", write(tmp_path, "linear.json", doc))
+    assert code == 0
+    assert [F(z["value"]) for z in json.loads(out)["zeros"]] == [F(7, 10000000000039)]
 
 
 # --- ciss / smith / realize -------------------------------------------------------

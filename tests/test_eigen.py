@@ -168,6 +168,57 @@ def test_rational_roots_give_up_beyond_the_candidate_bound():
         assert rest.degree == (2 if searched else 3)
 
 
+def test_rational_roots_of_a_linear_rest_need_no_search():
+    # 10**17 + 1 is beyond _FACTOR_BOUND, so no divisor is enumerated
+    assert rational_roots(Poly([-(10**17 + 1), 1])) == ([(F(10**17 + 1), 1)], Poly([1]))
+    assert rational_roots(Poly([-7, 10000000000039])) == (
+        [(F(7, 10000000000039), 1)],
+        Poly([10000000000039]),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.dictionaries(
+        st.builds(F, st.integers(-9, 9).filter(bool), st.integers(1, 9)),
+        st.integers(1, 3),
+        max_size=3,
+    ),
+    st.integers(0, 3),
+    st.sampled_from([Poly([1, 0, 1]), Poly([-2, 0, 1])]),
+    st.builds(F, st.integers(-50, 50).filter(bool), st.integers(1, 50)),
+)
+def test_rational_roots_recover_planted_roots(planted, k, q, c):
+    # c * lam**k * prod (b lam - a)**e * q: neither monic nor primitive
+    p = Poly([c]) * Poly.lam() ** k * q
+    for r, e in planted.items():
+        p = p * Poly([-r.numerator, r.denominator]) ** e
+    roots, rest = rational_roots(p)
+    assert roots == ([(F(0), k)] if k else []) + sorted(planted.items())
+    product = rest
+    for r, e in roots:
+        product = product * Poly([-r, 1]) ** e
+    assert product == p and rest.leading == p.leading
+
+
+def test_rational_roots_evaluate_and_long_divide_no_poly(monkeypatch):
+    calls = []
+    for name in ("__call__", "__floordiv__"):
+        original = getattr(Poly, name)
+
+        def counting(self, other, _original=original, _name=name):
+            calls.append(_name)
+            return _original(self, other)
+
+        monkeypatch.setattr(Poly, name, counting)
+    # repeated rational roots 0, 2/3 and -5, and the repeated irrational +-sqrt(2)
+    p = Poly([0, 0, 1]) * Poly([-2, 3]) ** 3 * Poly([5, 1]) * Poly([-2, 0, 1]) ** 2
+    got = all_roots(p)
+    assert [(v, k) for v, k in got if isinstance(v, F)] == [(F(0), 2), (F(-5), 1), (F(2, 3), 3)]
+    assert sorted(k for v, k in got if not isinstance(v, F)) == [2, 2]
+    assert calls == []
+
+
 def test_numeric_roots_rescale_coefficients_beyond_float_range():
     # lam^2 - 2 * 10**400 has the roots +-sqrt(2) * 10**200
     roots = sorted(numeric_roots(Poly([-2 * 10**400, 0, 1])), key=lambda z: z.real)

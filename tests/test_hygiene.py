@@ -118,7 +118,6 @@ def test_private_names_cross_modules_only_where_pinned():
         for module, name in _private_imports(ast.parse(path.read_text(encoding="utf-8")))
     }
     assert found == {
-        ("equivalence", "fiedler", "_factor_grid"),
         ("equivalence", "fiedler", "_spliced_product"),
         ("equivalence", "system", "_system_layout"),
     }
